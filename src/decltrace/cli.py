@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from .model import DeclarativeProcess, ParseError, Trace, classify, parse_process
+from .model import DeclarativeProcess, ParseError, Trace, classify, parse_process, satisfies
 from .oracle import SizeLimitError, brute_force_traces
 from .possim import enumerate_possim
 from .relations import hasse_pairs
@@ -21,6 +22,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_TOO_LARGE = 3
+
+MISMATCH_SHOWN = 5  # traces listed per side of a failed ``check``
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,14 +106,43 @@ def _run_check(process: DeclarativeProcess) -> int:
     if computed == reference:
         print(f"ok: {len(computed)} traces")
         return EXIT_OK
-    missing = set(reference) - set(computed)
-    extra = set(computed) - set(reference)
+    computed_set = set(computed)
+    reference_set = set(reference)
+    missing = [t for t in reference if t not in computed_set]
+    extra = [t for t in computed if t not in reference_set]
     print(
         f"mismatch: {len(computed)} computed vs {len(reference)} reference "
         f"({len(missing)} missing, {len(extra)} extra)",
         file=sys.stderr,
     )
+    names = process.names()
+    for side, found in (("missing", missing), ("extra", extra)):
+        for trace in found[:MISMATCH_SHOWN]:
+            shown = _format_trace(names, trace)
+            print(f"{side}: {shown} ({_verdict(process, trace)})", file=sys.stderr)
     return EXIT_MISMATCH
+
+
+def _verdict(process: DeclarativeProcess, trace: Trace) -> str:
+    """The first constraint ``trace`` breaks, in declaration order."""
+    for c in process.constraints:
+        if not satisfies(trace, c):
+            return f"breaks {c.kind.value} {c.source.name} {c.target.name}"
+    return "breaks no constraint"
+
+
+def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
+    if args.command == "traces":
+        return _run_traces(process, args.format, args.parallel)
+    if args.command == "count":
+        print(count_traces(process))
+        return EXIT_OK
+    if args.command == "possim":
+        return _run_possim(process)
+    if args.command == "classify":
+        print(classify(process).value)
+        return EXIT_OK
+    return _run_check(process)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,17 +155,17 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.command == "traces":
-        return _run_traces(process, args.format, args.parallel)
-    if args.command == "count":
-        print(count_traces(process))
+    try:
+        code = _run(args, process)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+    except BrokenPipeError:
+        # The reader stopped early, as ``decltrace traces file | head`` does.
+        # Python flushes stdout again at exit, so point it at /dev/null.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
-    if args.command == "possim":
-        return _run_possim(process)
-    if args.command == "classify":
-        print(classify(process).value)
-        return EXIT_OK
-    return _run_check(process)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Trace
-from .relations import BinaryRelation, is_antisymmetric, restrict
+from .relations import BinaryRelation, _bits, _mask, is_antisymmetric, restrict
 
 
 @dataclass(frozen=True)
@@ -26,71 +27,96 @@ def _check_antisymmetric(poset: Poset) -> None:
         raise ValueError("order is not antisymmetric")
 
 
+def _strict_rows(poset: Poset) -> tuple[int, list[int]]:
+    """The elements as a mask, and each element's strict successors among them."""
+    elements = _mask(poset.elements)
+    rows = [0] * poset.order.n
+    for x in poset.elements:
+        rows[x] = poset.order.rows[x] & elements & ~(1 << x)
+    return elements, rows
+
+
 def linear_extensions(poset: Poset) -> list[Trace]:
     """Every arrangement of the elements compatible with the order.
 
     Generated by repeatedly emitting a minimal element of what remains,
     trying candidates in ascending index order, so the output is sorted
-    lexicographically.
+    lexicographically.  The depth-first search keeps its own stack, so the
+    poset's size is not limited by the interpreter's recursion limit.
     """
     _check_antisymmetric(poset)
-    elements = sorted(poset.elements)
-    size = len(elements)
-    local = {x: at for at, x in enumerate(elements)}
-    predecessors = [0] * size
-    for x in elements:
-        for y in elements:
-            if y != x and poset.order.has(y, x):
-                predecessors[local[x]] |= 1 << local[y]
+    elements, above = _strict_rows(poset)
+    size = len(poset.elements)
+    if not size:
+        return [()]
+    # Placing x can make only its covers placeable, once every element they
+    # cover has been placed; ``waiting`` counts those not yet placed.
+    covers = [[] for _ in above]
+    waiting = [0] * len(above)
+    for x in _bits(elements):
+        beyond = 0
+        for y in _bits(above[x]):
+            beyond |= above[y]
+        covers[x] = list(_bits(above[x] & ~beyond))
+        for y in covers[x]:
+            waiting[y] += 1
+    minimal = 0
+    for x in _bits(elements):
+        if not waiting[x]:
+            minimal |= 1 << x
     out: list[Trace] = []
     sequence: list[int] = []
-
-    def walk(remaining: int) -> None:
-        if not remaining:
+    # One entry per depth: the placeable elements there, and those not tried yet.
+    placeable = [minimal]
+    untried = [minimal]
+    while untried:
+        options = untried[-1]
+        if not options:
+            untried.pop()
+            placeable.pop()
+            if sequence:
+                for y in covers[sequence.pop()]:
+                    waiting[y] += 1
+            continue
+        low = options & -options
+        untried[-1] = options ^ low
+        x = low.bit_length() - 1
+        sequence.append(x)
+        if len(sequence) == size:
             out.append(tuple(sequence))
-            return
-        for at, x in enumerate(elements):
-            bit = 1 << at
-            if remaining & bit and not predecessors[at] & remaining:
-                sequence.append(x)
-                walk(remaining & ~bit)
-                sequence.pop()
-
-    walk((1 << size) - 1)
+            sequence.pop()
+            continue
+        free = placeable[-1] ^ low
+        for y in covers[x]:
+            waiting[y] -= 1
+            if not waiting[y]:
+                free |= 1 << y
+        placeable.append(free)
+        untried.append(free)
     return out
 
 
 def count_linear_extensions(poset: Poset) -> int:
     """Count linear extensions without generating them.
 
-    Dynamic programming over the down-set lattice: peeling a maximal element
-    from a down-set keeps it a down-set, and each extension corresponds to
-    one full peeling path.
+    Dynamic programming over the down-set lattice, one layer per size:
+    peeling a maximal element from a down-set keeps it a down-set, and each
+    extension corresponds to one full peeling path from the whole poset.
     """
     _check_antisymmetric(poset)
-    elements = sorted(poset.elements)
-    size = len(elements)
-    local = {x: at for at, x in enumerate(elements)}
-    successors = [0] * size
-    for x in elements:
-        for y in elements:
-            if y != x and poset.order.has(x, y):
-                successors[local[x]] |= 1 << local[y]
-    memo: dict[int, int] = {0: 1}
-
-    def count(mask: int) -> int:
-        known = memo.get(mask)
-        if known is not None:
-            return known
-        total = 0
-        for at in range(size):
-            bit = 1 << at
-            if mask & bit and not successors[at] & mask:
-                total += count(mask & ~bit)
-        memo[mask] = total
-        return total
-
-    return count((1 << size) - 1)
+    elements, above = _strict_rows(poset)
+    layer = {elements: 1}
+    for _ in range(len(poset.elements)):
+        peeled: defaultdict[int, int] = defaultdict(int)
+        for mask, ways in layer.items():
+            left = mask
+            while left:  # the set bits of mask, inlined: this is the hot loop
+                low = left & -left
+                left ^= low
+                if not above[low.bit_length() - 1] & mask:
+                    peeled[mask ^ low] += ways
+        layer = peeled
+    return layer.get(0, 0)
 
 
 def restrict_extension(trace: Trace, subset: Iterable[int]) -> Trace:

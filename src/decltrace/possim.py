@@ -19,6 +19,8 @@ from .model import DeclarativeProcess, expand_successors
 from .quotient import QuotientPoset, condense
 from .relations import (
     BinaryRelation,
+    _bits,
+    _mask,
     closure,
     implied_occurrence,
     is_antisymmetric,
@@ -114,6 +116,43 @@ def is_independent(
     return Independence.INDEPENDENT, DownSet(members, order, max_elements(members, ctx.occurrence))
 
 
+def _topological_order(members: int, succ: list[int], pred: list[int]) -> list[int] | None:
+    """Kahn's sort of the graph ``succ`` restricted to ``members``.
+
+    ``succ`` and ``pred`` are the graph's strict rows and columns.  Returns
+    None when the restricted graph has a cycle, which is exactly when the
+    closure of the ordering law on ``members`` is not antisymmetric.
+    """
+    waiting: dict[int, int] = {}
+    ready = []
+    for v in _bits(members):
+        count = (pred[v] & members).bit_count()
+        if count:
+            waiting[v] = count
+        else:
+            ready.append(v)
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in _bits(succ[v] & members):
+            waiting[w] -= 1
+            if not waiting[w]:
+                ready.append(w)
+    return order if len(order) == members.bit_count() else None
+
+
+def _closed_order(n: int, members: int, topological: list[int], succ: list[int]) -> BinaryRelation:
+    """Reflexive transitive closure of ``succ`` on ``members``, sinks first."""
+    rows = [0] * n
+    for v in reversed(topological):
+        row = 1 << v
+        for w in _bits(succ[v] & members):
+            row |= rows[w]
+        rows[v] = row
+    return BinaryRelation(n, tuple(rows), members)
+
+
 def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
     """All realizable trace images, each exactly once.
 
@@ -123,32 +162,43 @@ def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
     ctx = PossimContext.of(process)
     quotient = ctx.quotient
     k = len(quotient.classes)
-    class_down = [
-        frozenset().union(
-            *(quotient.classes[d] for d in range(k) if quotient.order.has(d, c))
-        )
-        for c in range(k)
-    ]
     n = ctx.occurrence.n
+    class_mask = [_mask(group) for group in quotient.classes]
+    class_down = [0] * k  # activities of the classes at or below c
+    related = [0] * k  # classes comparable with c, c included
+    for a, row in enumerate(quotient.order.rows):
+        for b in _bits(row):
+            class_down[b] |= class_mask[a]
+            related[a] |= 1 << b
+            related[b] |= 1 << a
+    succ = [row & ~(1 << v) for v, row in enumerate(ctx.ordering.rows)]
+    pred = [0] * n
+    for v, row in enumerate(succ):
+        for w in _bits(row):
+            pred[w] |= 1 << v
     empty_order = BinaryRelation(n, (0,) * n, 0)
     found = [DownSet(frozenset(), empty_order, frozenset())]
-
-    def walk(chain: list[int], members: frozenset[int], generator: frozenset[int], start: int) -> None:
-        for c in range(start, k):
-            if any(quotient.order.has(c, d) or quotient.order.has(d, c) for d in chain):
-                continue
+    # Each entry is an antichain of classes: the first class that may extend
+    # it, the classes it rules out, and its image and generator as masks.
+    stack = [(0, 0, 0, 0)]
+    every_class = (1 << k) - 1
+    while stack:
+        start, blocked, members, generator = stack.pop()
+        for c in _bits(every_class >> start << start & ~blocked):
             grown = members | class_down[c]
-            order = closure(restrict(ctx.ordering, grown))
-            if not is_antisymmetric(order):
-                # No extension of this antichain can recover antisymmetry;
-                # the whole subtree is dead.
+            topological = _topological_order(grown, succ, pred)
+            if topological is None:
+                # A cycle inside this image is a cycle inside every larger
+                # one; the whole subtree is dead.
                 continue
-            grown_generator = generator | quotient.classes[c]
-            found.append(DownSet(grown, order, grown_generator))
-            chain.append(c)
-            walk(chain, grown, grown_generator, c + 1)
-            chain.pop()
-
-    walk([], frozenset(), frozenset(), 0)
+            grown_generator = generator | class_mask[c]
+            found.append(
+                DownSet(
+                    frozenset(_bits(grown)),
+                    _closed_order(n, grown, topological, succ),
+                    frozenset(_bits(grown_generator)),
+                )
+            )
+            stack.append((c + 1, blocked | related[c], grown, grown_generator))
     found.sort(key=lambda downset: (len(downset.members), sorted(downset.members)))
     return found

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .relations import BinaryRelation, is_preorder
+from .relations import BinaryRelation, _bits, is_preorder
 
 
 @dataclass(frozen=True)
@@ -24,30 +24,33 @@ class QuotientPoset:
 
 
 def condense(pre: BinaryRelation) -> QuotientPoset:
-    """Collapse mutually reachable elements; the result order is a partial order."""
+    """Collapse mutually reachable elements; the result order is a partial order.
+
+    In a preorder i and j are mutually reachable exactly when their rows are
+    equal, so the classes are the groups of equal rows.
+    """
     if not is_preorder(pre):
         raise ValueError("relation is not a preorder")
-    indices = pre.member_indices()
     class_of = [-1] * pre.n
-    classes: list[frozenset[int]] = []
-    for i in indices:
-        if class_of[i] >= 0:
-            continue
-        group = [j for j in indices if pre.has(i, j) and pre.has(j, i)]
-        for j in group:
-            class_of[j] = len(classes)
-        classes.append(frozenset(group))
-    reps = [min(group) for group in classes]
-    k = len(classes)
+    class_by_row: dict[int, int] = {}
+    groups: list[list[int]] = []
+    reps = 0  # smallest member of each class, as a mask
+    for i in pre.member_indices():
+        c = class_by_row.setdefault(pre.rows[i], len(groups))
+        if c == len(groups):
+            groups.append([])
+            reps |= 1 << i
+        groups[c].append(i)
+        class_of[i] = c
     rows = []
-    for a in range(k):
+    for group in groups:
         row = 0
-        for b in range(k):
-            if pre.has(reps[a], reps[b]):
-                row |= 1 << b
+        for j in _bits(pre.rows[group[0]] & reps):
+            row |= 1 << class_of[j]
         rows.append(row)
+    k = len(groups)
     order = BinaryRelation(k, tuple(rows), (1 << k) - 1)
-    return QuotientPoset(tuple(classes), order, tuple(class_of))
+    return QuotientPoset(tuple(frozenset(g) for g in groups), order, tuple(class_of))
 
 
 def expand_downset(quotient: QuotientPoset, class_downset: Iterable[int]) -> frozenset[int]:

@@ -23,12 +23,11 @@ def _mask(indices: Iterable[int]) -> int:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    i = 0
+    """Indices of the set bits of a non-negative mask, in ascending order."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,12 @@ def restrict(rel: BinaryRelation, subset: Iterable[int]) -> BinaryRelation:
 
 
 def is_antisymmetric(rel: BinaryRelation) -> bool:
-    for i, j in rel.pairs():
-        if i != j and rel.rows[j] >> i & 1:
-            return False
+    rows = rel.rows
+    for i, row in enumerate(rows):
+        # Each unordered pair is tested once, from its larger index.
+        for j in _bits(row & ((1 << i) - 1)):
+            if rows[j] >> i & 1:
+                return False
     return True
 
 
@@ -123,9 +125,11 @@ def hasse_pairs(rel: BinaryRelation) -> list[tuple[int, int]]:
     strict = [rel.rows[i] & ~(1 << i) for i in range(rel.n)]
     covers = []
     for i in rel.member_indices():
-        for j in _bits(strict[i]):
-            if not any(strict[k] >> j & 1 for k in _bits(strict[i] & ~(1 << j))):
-                covers.append((i, j))
+        # j covers i unless it lies strictly above some k strictly above i.
+        beyond = 0
+        for k in _bits(strict[i]):
+            beyond |= strict[k]
+        covers.extend((i, j) for j in _bits(strict[i] & ~beyond))
     return covers
 
 

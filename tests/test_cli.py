@@ -100,6 +100,33 @@ class TestCheck:
         assert main(["check", proc_file(MIXED_THREE)]) == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_mismatch_names_traces_and_broken_constraints(self, proc_file, capsys, monkeypatch):
+        # MIXED_THREE has traces -, b, b a, b c a, c b a; indices a=0, b=1, c=2.
+        wrong = [(), (1,), (0,), (2, 0), (1, 2, 0)]
+        monkeypatch.setattr(cli, "traces", lambda process, parallel=False: wrong)
+        assert main(["check", proc_file(MIXED_THREE)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "mismatch: 5 computed vs 5 reference (2 missing, 2 extra)",
+            "missing: b a (breaks no constraint)",
+            "missing: c b a (breaks no constraint)",
+            "extra: a (breaks prec b a)",
+            "extra: c a (breaks prec b a)",
+        ]
+
+    def test_mismatch_lists_at_most_five_per_side(self, proc_file, capsys, monkeypatch):
+        names = " ".join("abcd")
+        monkeypatch.setattr(cli, "traces", lambda process, parallel=False: [])
+        assert main(["check", proc_file(f"activities {names}\n")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "mismatch: 0 computed vs 65 reference (65 missing, 0 extra)"
+        assert err[1:] == [
+            "missing: - (breaks no constraint)",
+            "missing: a (breaks no constraint)",
+            "missing: b (breaks no constraint)",
+            "missing: c (breaks no constraint)",
+            "missing: d (breaks no constraint)",
+        ]
+
 
 class TestFailureModes:
     def test_parse_error_exits_one(self, proc_file, capsys):
@@ -127,3 +154,21 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "5\n"
+
+
+def test_early_close_of_stdout_exits_zero_quietly(tmp_path):
+    # Seven unconstrained activities print 13,700 traces, about 170 KB: far
+    # more than a pipe holds, so the writer meets the closed read end.
+    path = tmp_path / "p.proc"
+    path.write_text("activities a b c d e f g\n", encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "decltrace", "traces", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"-\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=60) == 0
+    child.stderr.close()
+    assert stderr == b""

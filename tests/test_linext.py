@@ -87,6 +87,22 @@ class TestCounting:
             assert count_linear_extensions(poset) == len(linear_extensions(poset))
 
 
+class TestLongChains:
+    # Both walks once recursed one level per element and failed near 1000.
+    SIZE = 1200
+
+    def chain(self):
+        full = (1 << self.SIZE) - 1
+        rows = tuple(full >> i << i for i in range(self.SIZE))  # i below every j > i
+        return Poset(frozenset(range(self.SIZE)), BinaryRelation(self.SIZE, rows, full))
+
+    def test_generation(self):
+        assert linear_extensions(self.chain()) == [tuple(range(self.SIZE))]
+
+    def test_counting(self):
+        assert count_linear_extensions(self.chain()) == 1
+
+
 class TestRestriction:
     def test_drop_one_element(self):
         assert restrict_extension((0, 1, 2), {0, 1}) == (0, 1)

@@ -182,3 +182,11 @@ class TestEnumerate:
                     for subset in combinations(generator, size):
                         verdict, _ = is_independent(subset, ctx)
                         assert verdict is Independence.INDEPENDENT
+
+    def test_long_precedence_chain(self):
+        # The walk once recursed one level per image and failed near 1000.
+        names = [f"a{i}" for i in range(1100)]
+        process = make_process(names, [("prec", x, y) for x, y in zip(names, names[1:])])
+        images = enumerate_possim(process)
+        assert len(images) == 1101
+        assert [d.members for d in images] == [frozenset(range(size)) for size in range(1101)]
