@@ -55,6 +55,7 @@ from .relations import (
     transpose,
 )
 from .traces import (
+    count_by_length,
     count_traces,
     maximum_image,
     traces,
@@ -85,6 +86,7 @@ __all__ = [
     "classify",
     "closure",
     "condense",
+    "count_by_length",
     "count_linear_extensions",
     "count_traces",
     "downward_closure",

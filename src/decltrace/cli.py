@@ -16,7 +16,7 @@ from .model import DeclarativeProcess, ParseError, Trace, classify, parse_proces
 from .oracle import SizeLimitError, brute_force_traces
 from .possim import enumerate_possim
 from .relations import hasse_pairs
-from .traces import count_traces, traces
+from .traces import count_by_length, count_traces, traces
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -45,11 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--parallel",
         action="store_true",
-        help="fan extension generation out over images (output is unchanged)",
+        help="accepted for compatibility; has no effect",
     )
 
     cmd = commands.add_parser("count", help="print the number of traces without enumerating")
     cmd.add_argument("file")
+    cmd.add_argument(
+        "--by-length",
+        action="store_true",
+        help="print one '<length> <count>' line per trace length instead",
+    )
 
     cmd = commands.add_parser(
         "possim", help="print each realizable trace image with its internal order"
@@ -135,7 +140,11 @@ def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
     if args.command == "traces":
         return _run_traces(process, args.format, args.parallel)
     if args.command == "count":
-        print(count_traces(process))
+        if args.by_length:
+            for length, count in enumerate(count_by_length(process)):
+                print(length, count)
+        else:
+            print(count_traces(process))
         return EXIT_OK
     if args.command == "possim":
         return _run_possim(process)

@@ -4,11 +4,16 @@ The general pipeline unions the linear extensions of every realizable image
 poset.  Single-kind constraint sets get cheaper routes: precedence-only and
 response-only reduce to the down-sets of one cycle-free core poset, and
 successor-only reduces to unions of independent occurrence classes.
+
+Counting splits the activities into the connected components of the
+constraint graph.  Components share no constraint, so every trace is a
+shuffle of one trace per component, and the per-length counts of the
+components combine by binomial convolution.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from math import comb
 from typing import Iterable, Iterator
 
 from .linext import Poset, count_linear_extensions, linear_extensions
@@ -19,11 +24,13 @@ from .model import (
     Trace,
     classify,
     expand_successors,
+    make_process,
 )
 from .possim import downward_closure, enumerate_possim
 from .quotient import condense
 from .relations import (
     BinaryRelation,
+    _bits,
     closure,
     implied_occurrence,
     is_antisymmetric,
@@ -46,15 +53,14 @@ def traces_general(process: DeclarativeProcess, parallel: bool = False) -> list[
     """Every trace, via the realizable-image decomposition.
 
     Each trace arises from exactly one image, so the per-image extension
-    lists concatenate without duplicates.
+    lists concatenate without duplicates.  ``parallel`` is accepted and
+    ignored: a thread pool measured no faster than this serial loop.
     """
-    posets = [Poset(d.members, d.order) for d in enumerate_possim(process)]
-    if parallel and len(posets) > 1:
-        with ThreadPoolExecutor() as pool:
-            chunks = list(pool.map(linear_extensions, posets))
-    else:
-        chunks = [linear_extensions(poset) for poset in posets]
-    return _sorted_traces(t for chunk in chunks for t in chunk)
+    return _sorted_traces(
+        t
+        for d in enumerate_possim(process)
+        for t in linear_extensions(Poset(d.members, d.order))
+    )
 
 
 def _maximum_image(occurrence: BinaryRelation) -> frozenset[int]:
@@ -177,8 +183,76 @@ def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
     return traces_general(process, parallel=parallel)
 
 
+def _components(process: DeclarativeProcess) -> list[int]:
+    """Activity masks of the connected components of the constraint graph."""
+    adjacent = [1 << i for i in range(process.n)]
+    for c in process.constraints:
+        adjacent[c.source.index] |= 1 << c.target.index
+        adjacent[c.target.index] |= 1 << c.source.index
+    out = []
+    left = (1 << process.n) - 1
+    while left:
+        reached = frontier = left & -left
+        while frontier:
+            grown = 0
+            for v in _bits(frontier):
+                grown |= adjacent[v]
+            frontier = grown & ~reached
+            reached |= frontier
+        out.append(reached)
+        left &= ~reached
+    return out
+
+
+def _image_counts(process: DeclarativeProcess) -> list[int]:
+    """Traces by length, summed over the images of one process."""
+    counts: list[int] = []
+    for d in enumerate_possim(process):
+        size = len(d.members)
+        counts.extend([0] * (size + 1 - len(counts)))
+        counts[size] += count_linear_extensions(Poset(d.members, d.order))
+    return counts
+
+
+def _shuffle_counts(a: list[int], b: list[int]) -> list[int]:
+    """Per-length counts of the shuffles of two disjoint trace sets.
+
+    A trace of length L1 from one set and one of length L2 from the other
+    interleave in binom(L1 + L2, L1) ways, and no two interleavings agree.
+    """
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += comb(i + j, i) * x * y
+    return out
+
+
+def count_by_length(process: DeclarativeProcess) -> list[int]:
+    """Number of traces of each length, from 0 to the longest trace.
+
+    Each connected component of the constraint graph is counted on its own,
+    as a process over just its activities, and the counts are joined by
+    binomial convolution.  A connected process is counted as it stands.
+    """
+    components = _components(process)
+    if len(components) == 1:
+        return _image_counts(process)
+    names = process.names()
+    component_of = [0] * process.n
+    for at, mask in enumerate(components):
+        for v in _bits(mask):
+            component_of[v] = at
+    constraints: list[list[tuple[ConstraintKind, str, str]]] = [[] for _ in components]
+    for c in process.constraints:
+        constraints[component_of[c.source.index]].append((c.kind, c.source.name, c.target.name))
+    total = [1]
+    for mask, own in zip(components, constraints):
+        part = make_process((names[v] for v in _bits(mask)), own)
+        total = _shuffle_counts(total, _image_counts(part))
+    return total
+
+
 def count_traces(process: DeclarativeProcess) -> int:
-    """Number of traces, summed image by image without enumerating any."""
-    return sum(
-        count_linear_extensions(Poset(d.members, d.order)) for d in enumerate_possim(process)
-    )
+    """Number of traces, counted per component without enumerating any."""
+    return sum(count_by_length(process))

@@ -5,8 +5,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from decltrace import (
     BinaryRelation,
     Independence,
@@ -62,16 +60,6 @@ def timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
-
-
-@pytest.fixture(scope="session")
-def instance_batch():
-    rng = random.Random(20240)
-    batch = [random_process(rng) for _ in range(700)]
-    for kind in ("prec", "resp", "succ"):
-        batch.extend(random_process(rng, kinds=(kind,)) for _ in range(100))
-    assert len(batch) == 1000
-    return batch
 
 
 def test_criterion_1_three_activity_example():

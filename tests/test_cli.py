@@ -14,6 +14,8 @@ MIXED_FIVE = (
     "prec a d\nprec b d\nprec d e\n"
 )
 PREC_SIX = "activities a b c d e f\nprec a c\nprec b c\nprec c d\nprec d e\nprec e d\nprec d f\n"
+# Two components, {a, b} and {c, d}; no trace has length 1 inside {a, b}.
+SPLIT_FOUR = "activities a c b d\nsucc a b\nprec c d\n"
 
 
 @pytest.fixture
@@ -49,12 +51,32 @@ class TestCount:
         assert capsys.readouterr().out == "7\n"
 
     def test_count_equals_traces_line_count(self, proc_file, capsys):
-        for text in (MIXED_THREE, MIXED_FIVE, PREC_SIX, "activities a\n"):
+        for text in (MIXED_THREE, MIXED_FIVE, PREC_SIX, SPLIT_FOUR, "activities a\n"):
             path = proc_file(text)
             assert main(["count", path]) == 0
             count = int(capsys.readouterr().out)
             assert main(["traces", path]) == 0
             assert count == len(capsys.readouterr().out.splitlines())
+
+    def test_count_bytes_on_the_five_activity_example(self, proc_file, capsys):
+        assert main(["count", proc_file(MIXED_FIVE)]) == 0
+        assert capsys.readouterr().out == "6\n"
+
+    def test_by_length_lists_every_length(self, proc_file, capsys):
+        assert main(["count", "--by-length", proc_file(MIXED_FIVE)]) == 0
+        assert capsys.readouterr().out == "0 1\n1 1\n2 2\n3 2\n"
+        assert main(["count", "--by-length", proc_file("activities a b\nsucc a b\n")]) == 0
+        assert capsys.readouterr().out == "0 1\n1 0\n2 1\n"
+
+    def test_by_length_sums_to_the_count(self, proc_file, capsys):
+        for text in (MIXED_THREE, MIXED_FIVE, PREC_SIX, SPLIT_FOUR, "activities a b c\n"):
+            path = proc_file(text)
+            assert main(["count", path]) == 0
+            count = int(capsys.readouterr().out)
+            assert main(["count", "--by-length", path]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [int(line.split()[0]) for line in lines] == list(range(len(lines)))
+            assert sum(int(line.split()[1]) for line in lines) == count
 
 
 class TestPossim:

@@ -1,9 +1,13 @@
-"""Differential properties of the bitmask relation kernel.
+"""Differential properties of the bitmask relation kernel and the counts.
 
 Each kernel result is compared with a direct reference: the brute-force
 oracle, fixed-point closure, permutation filtering, or the textbook
-definition, on small random processes, relations and posets.
+definition, on small random processes, relations and posets.  Trace counts
+are checked against the oracle's length histogram, against enumeration, and
+against a closed form.
 """
+
+from math import factorial
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +18,9 @@ from decltrace import (
     brute_force_traces,
     closure,
     condense,
+    count_by_length,
     count_linear_extensions,
+    count_traces,
     enumerate_possim,
     expand_successors,
     hasse_pairs,
@@ -23,6 +29,7 @@ from decltrace import (
     make_process,
     order_preserving,
     restrict,
+    traces,
 )
 from support import KINDS, LETTERS, closure_by_iteration, compliant_permutations
 
@@ -38,6 +45,23 @@ def processes(draw):
         for i, j in draw(st.lists(pairs, max_size=8)):
             constraints.append((draw(st.sampled_from(KINDS)), LETTERS[i], LETTERS[j]))
     return make_process(LETTERS[:n], constraints)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Two random processes of n <= 4 side by side, their activities interleaved."""
+    sizes = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    placed = draw(st.permutations(LETTERS[: sum(sizes)]))
+    parts = placed[: sizes[0]], placed[sizes[0] :]
+    constraints = []
+    for part in parts:
+        if len(part) >= 2:
+            pairs = st.tuples(st.sampled_from(part), st.sampled_from(part)).filter(
+                lambda p: p[0] != p[1]
+            )
+            for a, b in draw(st.lists(pairs, max_size=5)):
+                constraints.append((draw(st.sampled_from(KINDS)), a, b))
+    return make_process(LETTERS[: sum(sizes)], constraints)
 
 
 @st.composite
@@ -144,3 +168,34 @@ def test_antisymmetry_matches_its_definition(rel):
         i != j and rel.has(i, j) and rel.has(j, i) for i in members for j in members
     )
     assert is_antisymmetric(rel) == expected
+
+
+def length_histogram(process) -> list[int]:
+    counts = []
+    for trace in brute_force_traces(process):
+        counts.extend([0] * (len(trace) + 1 - len(counts)))
+        counts[len(trace)] += 1
+    return counts
+
+
+@given(processes())
+def test_counts_by_length_match_the_oracle(process):
+    assert count_by_length(process) == length_histogram(process)
+
+
+@given(disjoint_unions())
+def test_counts_by_length_join_disjoint_processes(process):
+    assert count_by_length(process) == length_histogram(process)
+
+
+def test_count_equals_enumeration_on_the_acceptance_batch(instance_batch):
+    for process in instance_batch:
+        assert count_traces(process) == len(traces(process))
+
+
+def test_unconstrained_counts_are_partial_permutations():
+    n = 20
+    process = make_process([f"a{i}" for i in range(n)])
+    expected = [factorial(n) // factorial(n - k) for k in range(n + 1)]
+    assert count_by_length(process) == expected
+    assert count_traces(process) == sum(expected)
