@@ -54,7 +54,7 @@ def traces_general(process: DeclarativeProcess, parallel: bool = False) -> list[
 
     Each trace arises from exactly one image, so the per-image extension
     lists concatenate without duplicates.  ``parallel`` is accepted and
-    ignored: a thread pool measured no faster than this serial loop.
+    ignored.
     """
     return _sorted_traces(
         t
@@ -233,11 +233,9 @@ def count_by_length(process: DeclarativeProcess) -> list[int]:
 
     Each connected component of the constraint graph is counted on its own,
     as a process over just its activities, and the counts are joined by
-    binomial convolution.  A connected process is counted as it stands.
+    binomial convolution.
     """
     components = _components(process)
-    if len(components) == 1:
-        return _image_counts(process)
     names = process.names()
     component_of = [0] * process.n
     for at, mask in enumerate(components):

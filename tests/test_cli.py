@@ -47,8 +47,9 @@ class TestTraces:
 
 class TestCount:
     def test_count_without_enumeration(self, proc_file, capsys):
-        assert main(["count", proc_file(PREC_SIX)]) == 0
-        assert capsys.readouterr().out == "7\n"
+        for text, out in ((PREC_SIX, "7\n"), (MIXED_FIVE, "6\n"), (SPLIT_FOUR, "13\n")):
+            assert main(["count", proc_file(text)]) == 0
+            assert capsys.readouterr().out == out
 
     def test_count_equals_traces_line_count(self, proc_file, capsys):
         for text in (MIXED_THREE, MIXED_FIVE, PREC_SIX, SPLIT_FOUR, "activities a\n"):
@@ -57,10 +58,6 @@ class TestCount:
             count = int(capsys.readouterr().out)
             assert main(["traces", path]) == 0
             assert count == len(capsys.readouterr().out.splitlines())
-
-    def test_count_bytes_on_the_five_activity_example(self, proc_file, capsys):
-        assert main(["count", proc_file(MIXED_FIVE)]) == 0
-        assert capsys.readouterr().out == "6\n"
 
     def test_by_length_lists_every_length(self, proc_file, capsys):
         assert main(["count", "--by-length", proc_file(MIXED_FIVE)]) == 0
