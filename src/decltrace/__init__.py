@@ -5,13 +5,14 @@ and successor constraints; its traces are the duplicate-free activity
 sequences violating none of them.  The library computes the full trace set
 by enumerating the realizable trace images (down-sets of the occurrence
 preorder with an antisymmetric internal order) and generating the linear
-extensions of each image poset.
+extensions of each image poset, merged lazily by length.
 """
 
 from .linext import (
     Poset,
     count_linear_extensions,
     induced_subposet,
+    iter_linear_extensions,
     linear_extensions,
     restrict_extension,
 )
@@ -57,6 +58,7 @@ from .relations import (
 from .traces import (
     count_by_length,
     count_traces,
+    iter_traces,
     maximum_image,
     traces,
     traces_general,
@@ -100,6 +102,8 @@ __all__ = [
     "is_independent",
     "is_partial_order",
     "is_preorder",
+    "iter_linear_extensions",
+    "iter_traces",
     "linear_extensions",
     "make_process",
     "max_elements",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import Trace
 from .relations import BinaryRelation, _bits, _mask, is_antisymmetric, restrict
@@ -36,19 +36,25 @@ def _strict_rows(poset: Poset) -> tuple[int, list[int]]:
     return elements, rows
 
 
-def linear_extensions(poset: Poset) -> list[Trace]:
-    """Every arrangement of the elements compatible with the order.
+def iter_linear_extensions(poset: Poset) -> Iterator[Trace]:
+    """Every arrangement of the elements compatible with the order, lazily.
 
     Generated by repeatedly emitting a minimal element of what remains,
     trying candidates in ascending index order, so the output is sorted
     lexicographically.  The depth-first search keeps its own stack, so the
-    poset's size is not limited by the interpreter's recursion limit.
+    poset's size is not limited by the interpreter's recursion limit.  The
+    order is validated at the call, before the first extension is asked for.
     """
     _check_antisymmetric(poset)
+    return _extensions(poset)
+
+
+def _extensions(poset: Poset) -> Iterator[Trace]:
     elements, above = _strict_rows(poset)
     size = len(poset.elements)
-    if not size:
-        return [()]
+    if size < 2:
+        yield tuple(poset.elements)
+        return
     # Placing x can make only its covers placeable, once every element they
     # cover has been placed; ``waiting`` counts those not yet placed.
     covers = [[] for _ in above]
@@ -64,28 +70,32 @@ def linear_extensions(poset: Poset) -> list[Trace]:
     for x in _bits(elements):
         if not waiting[x]:
             minimal |= 1 << x
-    out: list[Trace] = []
     sequence: list[int] = []
+    left = elements  # not yet placed
     # One entry per depth: the placeable elements there, and those not tried yet.
     placeable = [minimal]
     untried = [minimal]
+    forced = size - 2  # the depth at which the last two elements remain
     while untried:
         options = untried[-1]
         if not options:
             untried.pop()
             placeable.pop()
             if sequence:
-                for y in covers[sequence.pop()]:
+                x = sequence.pop()
+                left |= 1 << x
+                for y in covers[x]:
                     waiting[y] += 1
             continue
         low = options & -options
         untried[-1] = options ^ low
         x = low.bit_length() - 1
-        sequence.append(x)
-        if len(sequence) == size:
-            out.append(tuple(sequence))
-            sequence.pop()
+        if len(sequence) == forced:
+            # Whatever remains after x is placeable once x is placed.
+            yield (*sequence, x, (left ^ low).bit_length() - 1)
             continue
+        sequence.append(x)
+        left ^= low
         free = placeable[-1] ^ low
         for y in covers[x]:
             waiting[y] -= 1
@@ -93,7 +103,11 @@ def linear_extensions(poset: Poset) -> list[Trace]:
                 free |= 1 << y
         placeable.append(free)
         untried.append(free)
-    return out
+
+
+def linear_extensions(poset: Poset) -> list[Trace]:
+    """Every linear extension, in lexicographic order, as a list."""
+    return list(iter_linear_extensions(poset))
 
 
 def count_linear_extensions(poset: Poset) -> int:

@@ -1,9 +1,10 @@
 """Trace-set assembly.
 
-The general pipeline unions the linear extensions of every realizable image
-poset.  Single-kind constraint sets get cheaper routes: precedence-only and
-response-only reduce to the down-sets of one cycle-free core poset, and
-successor-only reduces to unions of independent occurrence classes.
+Every trace is a linear extension of exactly one realizable image, and an
+image of size L yields traces of length L only.  Images come sorted by
+size, and each image's extensions come in lexicographic order, so a heap
+merge of the extension generators of one size gives that size's traces in
+order, with no global sort and no trace held longer than it takes to emit.
 
 Counting splits the activities into the connected components of the
 constraint graph.  Components share no constraint, so every trace is a
@@ -13,35 +14,24 @@ components combine by binomial convolution.
 
 from __future__ import annotations
 
+from heapq import merge
+from itertools import groupby
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .linext import Poset, count_linear_extensions, linear_extensions
+from .linext import Poset, count_linear_extensions, iter_linear_extensions
+from .linext import linear_extensions  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import (
     ConstraintKind,
     DeclarativeProcess,
     ProcessClass,
     Trace,
     classify,
-    expand_successors,
     make_process,
 )
-from .possim import downward_closure, enumerate_possim
-from .quotient import condense
-from .relations import (
-    BinaryRelation,
-    _bits,
-    closure,
-    implied_occurrence,
-    is_antisymmetric,
-    order_preserving,
-    restrict,
-    transpose,
-)
-
-
-def _sorted_traces(items: Iterable[Trace]) -> list[Trace]:
-    return sorted(items, key=lambda trace: (len(trace), trace))
+from .possim import enumerate_possim
+from .quotient import condense  # noqa: F401  (bench/tracing.py wraps it here)
+from .relations import _bits, implied_occurrence
 
 
 def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) -> None:
@@ -49,29 +39,27 @@ def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) 
         raise ValueError(f"{path} path needs a constraint set of {kind.value} constraints only")
 
 
-def traces_general(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
-    """Every trace, via the realizable-image decomposition.
+def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
+    """Every trace, sorted by length then activity index, one at a time.
 
-    Each trace arises from exactly one image, so the per-image extension
-    lists concatenate without duplicates.  ``parallel`` is accepted and
-    ignored.
+    Memory is bounded by the images of the process, not by its traces: the
+    extensions of the images of one size are generated together and merged.
     """
-    return _sorted_traces(
-        t
-        for d in enumerate_possim(process)
-        for t in linear_extensions(Poset(d.members, d.order))
-    )
+    for _, same_size in groupby(enumerate_possim(process), key=lambda d: len(d.members)):
+        yield from merge(*(iter_linear_extensions(Poset(d.members, d.order)) for d in same_size))
 
 
-def _maximum_image(occurrence: BinaryRelation) -> frozenset[int]:
-    indices = occurrence.member_indices()
-    cyclic = {
-        x
-        for x in indices
-        if any(y != x and occurrence.has(x, y) and occurrence.has(y, x) for y in indices)
-    }
-    above = {z for z in indices if any(occurrence.has(x, z) for x in cyclic)}
-    return frozenset(indices) - above
+def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
+    """Every trace, sorted by length then activity index.
+
+    ``parallel`` is accepted and ignored.
+    """
+    return list(iter_traces(process))
+
+
+def traces_general(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
+    """Every trace, via the realizable-image decomposition; same as ``traces``."""
+    return list(iter_traces(process))
 
 
 def maximum_image(process: DeclarativeProcess) -> frozenset[int]:
@@ -82,105 +70,33 @@ def maximum_image(process: DeclarativeProcess) -> frozenset[int]:
     """
     if classify(process) not in (ProcessClass.PRECEDENCE_ONLY, ProcessClass.RESPONSE_ONLY):
         raise ValueError("maximum_image needs a precedence-only or response-only process")
-    return _maximum_image(implied_occurrence(process))
-
-
-def _antichains(order: BinaryRelation, elements: Iterable[int]) -> Iterator[frozenset[int]]:
-    items = sorted(elements)
-
-    def walk(prefix: list[int], start: int) -> Iterator[frozenset[int]]:
-        yield frozenset(prefix)
-        for at in range(start, len(items)):
-            x = items[at]
-            if any(order.has(x, y) or order.has(y, x) for y in prefix):
-                continue
-            prefix.append(x)
-            yield from walk(prefix, at + 1)
-            prefix.pop()
-
-    yield from walk([], 0)
+    occurrence = implied_occurrence(process)
+    indices = occurrence.member_indices()
+    cyclic = {
+        x
+        for x in indices
+        if any(y != x and occurrence.has(x, y) and occurrence.has(y, x) for y in indices)
+    }
+    above = {z for z in indices if any(occurrence.has(x, z) for x in cyclic)}
+    return frozenset(indices) - above
 
 
 def traces_precedence_only(process: DeclarativeProcess) -> list[Trace]:
-    """Fast path for precedence-only constraint sets.
-
-    The occurrence preorder restricted to the cycle-free core is a poset
-    whose down-sets are exactly the realizable images, and inside each image
-    the ordering law coincides with the occurrence order itself.
-    """
+    """The traces of a precedence-only constraint set; rejects other kinds."""
     _require_only(process, ConstraintKind.PRECEDENCE, "precedence-only")
-    occurrence = implied_occurrence(process)
-    core = restrict(occurrence, _maximum_image(occurrence))
-    out: list[Trace] = []
-    for antichain in _antichains(core, core.member_indices()):
-        image = downward_closure(antichain, core)
-        out.extend(linear_extensions(Poset(image, restrict(core, image))))
-    return _sorted_traces(out)
+    return traces_general(process)
 
 
 def traces_response_only(process: DeclarativeProcess) -> list[Trace]:
-    """Fast path for response-only constraint sets.
-
-    Identical to the precedence-only route except that inside each image the
-    ordering law is the transpose of the occurrence order.
-    """
+    """The traces of a response-only constraint set; rejects other kinds."""
     _require_only(process, ConstraintKind.RESPONSE, "response-only")
-    occurrence = implied_occurrence(process)
-    core = restrict(occurrence, _maximum_image(occurrence))
-    out: list[Trace] = []
-    for antichain in _antichains(core, core.member_indices()):
-        image = downward_closure(antichain, core)
-        out.extend(linear_extensions(Poset(image, transpose(restrict(core, image)))))
-    return _sorted_traces(out)
-
-
-def _disjoint_union(n: int, parts: Iterable[BinaryRelation]) -> BinaryRelation:
-    rows = [0] * n
-    members = 0
-    for part in parts:
-        members |= part.members
-        for i in range(n):
-            rows[i] |= part.rows[i]
-    return BinaryRelation(n, tuple(rows), members)
+    return traces_general(process)
 
 
 def traces_successor_only(process: DeclarativeProcess) -> list[Trace]:
-    """Fast path for successor-only constraint sets.
-
-    The occurrence relation is an equivalence here, so realizable images are
-    exactly the unions of classes whose internal ordering is antisymmetric,
-    and class orders just concatenate disjointly.
-    """
+    """The traces of a successor-only constraint set; rejects other kinds."""
     _require_only(process, ConstraintKind.SUCCESSOR, "successor-only")
-    expanded = expand_successors(process)
-    occurrence = implied_occurrence(expanded)
-    ordering = order_preserving(expanded)
-    quotient = condense(occurrence)
-    usable: list[tuple[frozenset[int], BinaryRelation]] = []
-    for group in quotient.classes:
-        order = closure(restrict(ordering, group))
-        if is_antisymmetric(order):
-            usable.append((group, order))
-    n = process.n
-    out: list[Trace] = []
-    for pick in range(1 << len(usable)):
-        chosen = [usable[i] for i in range(len(usable)) if pick >> i & 1]
-        members = frozenset().union(*(group for group, _ in chosen)) if chosen else frozenset()
-        order = _disjoint_union(n, (order for _, order in chosen))
-        out.extend(linear_extensions(Poset(members, order)))
-    return _sorted_traces(out)
-
-
-def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
-    """All traces, dispatched to the cheapest applicable route."""
-    shape = classify(process)
-    if shape is ProcessClass.PRECEDENCE_ONLY:
-        return traces_precedence_only(process)
-    if shape is ProcessClass.RESPONSE_ONLY:
-        return traces_response_only(process)
-    if shape is ProcessClass.SUCCESSOR_ONLY:
-        return traces_successor_only(process)
-    return traces_general(process, parallel=parallel)
+    return traces_general(process)
 
 
 def _components(process: DeclarativeProcess) -> list[int]:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import decltrace.cli as cli
+from decltrace import make_process, traces
 from decltrace.cli import main
 
 MIXED_THREE = "activities a b c\nresp c a\nprec b a\n"
@@ -37,6 +38,27 @@ class TestTraces:
         assert main(["traces", "--format", "json", proc_file(MIXED_THREE)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == [[], ["b"], ["b", "a"], ["b", "c", "a"], ["c", "b", "a"]]
+
+    def test_streamed_output_matches_the_whole_list_format(self, proc_file, capsys):
+        # Seven unconstrained activities: 13,700 traces, several write batches.
+        names = [f"a{i}" for i in range(7)]
+        expected = [[names[i] for i in t] for t in traces(make_process(names))]
+        assert len(expected) == 13_700 > cli.WRITE_BATCH
+        path = proc_file("activities " + " ".join(names) + "\n")
+        assert main(["traces", path]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines == [" ".join(t) or "-" for t in expected] + [""]
+        assert main(["traces", "--format", "json", path]) == 0
+        payload = capsys.readouterr().out
+        assert payload == json.dumps(expected) + "\n"
+        assert json.loads(payload) == expected
+
+    def test_only_the_empty_trace(self, proc_file, capsys):
+        path = proc_file("activities a b\nprec a b\nprec b a\n")
+        assert main(["traces", path]) == 0
+        assert capsys.readouterr().out == "-\n"
+        assert main(["traces", "--format", "json", path]) == 0
+        assert capsys.readouterr().out == "[[]]\n"
 
     def test_parallel_flag_does_not_change_bytes(self, proc_file, capsys):
         assert main(["traces", proc_file(MIXED_FIVE)]) == 0

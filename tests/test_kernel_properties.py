@@ -4,12 +4,15 @@ Each kernel result is compared with a direct reference: the brute-force
 oracle, fixed-point closure, permutation filtering, or the textbook
 definition, on small random processes, relations and posets.  Trace counts
 are checked against the oracle's length histogram, against enumeration, and
-against a closed form.
+against a closed form.  The lazy generators are checked against the oracle
+and the lists, and for the memory they hold.
 """
 
+import tracemalloc
 from math import factorial
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decltrace import (
@@ -25,6 +28,8 @@ from decltrace import (
     expand_successors,
     hasse_pairs,
     is_antisymmetric,
+    iter_linear_extensions,
+    iter_traces,
     linear_extensions,
     make_process,
     order_preserving,
@@ -37,13 +42,13 @@ MAX_N = 7
 
 
 @st.composite
-def processes(draw):
+def processes(draw, kinds=KINDS):
     n = draw(st.integers(1, MAX_N))
     constraints = []
     if n >= 2:
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
         for i, j in draw(st.lists(pairs, max_size=8)):
-            constraints.append((draw(st.sampled_from(KINDS)), LETTERS[i], LETTERS[j]))
+            constraints.append((draw(st.sampled_from(kinds)), LETTERS[i], LETTERS[j]))
     return make_process(LETTERS[:n], constraints)
 
 
@@ -107,15 +112,65 @@ def test_image_order_is_the_closed_restricted_ordering(process):
         assert set(order.pairs()) == closure_by_iteration(restrict(ordering, downset.members))
 
 
-@given(posets())
-def test_extensions_are_the_sorted_compliant_permutations(poset):
-    assert linear_extensions(poset) == sorted(compliant_permutations(poset))
 
 
 @given(processes())
 def test_image_extensions_are_the_sorted_compliant_permutations(process):
     for poset in image_posets(process):
         assert linear_extensions(poset) == sorted(compliant_permutations(poset))
+
+
+def two_element_poset(pairs) -> Poset:
+    return Poset(frozenset({0, 1}), closure(BinaryRelation.from_pairs(2, pairs)))
+
+
+@given(posets())
+@example(Poset(frozenset(), BinaryRelation.from_pairs(0, [])))
+@example(Poset(frozenset({0}), BinaryRelation.from_pairs(1, [(0, 0)])))
+@example(Poset(frozenset({2}), BinaryRelation.from_pairs(3, [(2, 2)])))
+@example(two_element_poset([]))
+@example(two_element_poset([(0, 1)]))
+@example(two_element_poset([(1, 0)]))
+def test_extensions_are_the_sorted_compliant_permutations(poset):
+    lazy = list(iter_linear_extensions(poset))
+    assert lazy == linear_extensions(poset) == sorted(compliant_permutations(poset))
+
+
+@st.composite
+def cyclic_orders(draw):
+    """A closed relation on all of 0..n-1 with at least one pair of distinct elements both ways."""
+    n = draw(st.integers(2, MAX_N))
+    i, j = draw(st.permutations(range(n)))[:2]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n))
+    return Poset(frozenset(range(n)), closure(BinaryRelation.from_pairs(n, [*pairs, (i, j), (j, i)])))
+
+
+@given(cyclic_orders())
+def test_lazy_extensions_reject_a_cycle_at_the_call(poset):
+    with pytest.raises(ValueError, match="antisymmetric"):
+        iter_linear_extensions(poset)  # never advanced: validation is eager
+
+
+@pytest.mark.parametrize("kinds", [KINDS, ("prec",), ("resp",), ("succ",)], ids="-".join)
+@given(data=st.data())
+def test_lazy_traces_are_the_oracle_traces(kinds, data):
+    process = data.draw(processes(kinds))
+    assert list(iter_traces(process)) == brute_force_traces(process)
+
+
+def test_lazy_traces_hold_no_trace_list():
+    # 8 unconstrained activities: 109,601 traces from 256 images.  As a list
+    # the traces take about 10 MiB; streamed, only the images and one
+    # extension generator per image of the current size stay alive.
+    process = make_process([f"a{i}" for i in range(8)])
+    tracemalloc.start()
+    try:
+        emitted = sum(1 for _ in iter_traces(process))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emitted == 109_601
+    assert peak < 2 << 20
 
 
 @given(posets())
