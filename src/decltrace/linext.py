@@ -50,6 +50,7 @@ def iter_linear_extensions(poset: Poset) -> Iterator[Trace]:
 
 
 def _extensions(poset: Poset) -> Iterator[Trace]:
+    """``iter_linear_extensions`` unchecked: the caller vouches that the order is antisymmetric."""
     elements, above = _strict_rows(poset)
     size = len(poset.elements)
     if size < 2:

@@ -19,7 +19,7 @@ from itertools import groupby
 from math import comb
 from typing import Iterator
 
-from .linext import Poset, count_linear_extensions, iter_linear_extensions
+from .linext import Poset, _extensions, count_linear_extensions
 from .linext import linear_extensions  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import (
     ConstraintKind,
@@ -45,8 +45,10 @@ def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     Memory is bounded by the images of the process, not by its traces: the
     extensions of the images of one size are generated together and merged.
     """
+    # Each image's order comes from a topological sort in the possim walk, so
+    # it is antisymmetric: iter_linear_extensions' check would only repeat it.
     for _, same_size in groupby(enumerate_possim(process), key=lambda d: len(d.members)):
-        yield from merge(*(iter_linear_extensions(Poset(d.members, d.order)) for d in same_size))
+        yield from merge(*(_extensions(Poset(d.members, d.order)) for d in same_size))
 
 
 def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
