@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .model import Trace
 from .relations import BinaryRelation, _bits, _mask, is_antisymmetric, restrict
@@ -27,15 +27,6 @@ def _check_antisymmetric(poset: Poset) -> None:
         raise ValueError("order is not antisymmetric")
 
 
-def _strict_rows(poset: Poset) -> tuple[int, list[int]]:
-    """The elements as a mask, and each element's strict successors among them."""
-    elements = _mask(poset.elements)
-    rows = [0] * poset.order.n
-    for x in poset.elements:
-        rows[x] = poset.order.rows[x] & elements & ~(1 << x)
-    return elements, rows
-
-
 def iter_linear_extensions(poset: Poset) -> Iterator[Trace]:
     """Every arrangement of the elements compatible with the order, lazily.
 
@@ -46,31 +37,31 @@ def iter_linear_extensions(poset: Poset) -> Iterator[Trace]:
     order is validated at the call, before the first extension is asked for.
     """
     _check_antisymmetric(poset)
-    return _extensions(poset)
+    return _extensions(_mask(poset.elements), poset.order.rows)
 
 
-def _extensions(poset: Poset) -> Iterator[Trace]:
-    """``iter_linear_extensions`` unchecked: the caller vouches that the order is antisymmetric."""
-    elements, above = _strict_rows(poset)
-    size = len(poset.elements)
+def _extensions(elements: int, rows: Sequence[int]) -> Iterator[Trace]:
+    """The linear extensions of the order that the graph ``rows`` generates on ``elements``.
+
+    ``elements`` is a mask.  Bit y of ``rows[x]`` is an edge x -> y; edges
+    leaving ``elements`` and each element's own bit are ignored.  The graph
+    must be acyclic on ``elements`` and need not be closed: an order's
+    linear extensions are the topological orders of any graph generating it.
+    """
+    size = elements.bit_count()
     if size < 2:
-        yield tuple(poset.elements)
+        yield tuple(_bits(elements))
         return
-    # Placing x can make only its covers placeable, once every element they
-    # cover has been placed; ``waiting`` counts those not yet placed.
-    covers = [[] for _ in above]
-    waiting = [0] * len(above)
+    # Placing x can make only its successors placeable, once all their
+    # predecessors have been placed; ``waiting`` counts those not yet placed.
+    after = [[] for _ in rows]
+    waiting = [0] * len(rows)
+    minimal = elements  # those no edge enters
     for x in _bits(elements):
-        beyond = 0
-        for y in _bits(above[x]):
-            beyond |= above[y]
-        covers[x] = list(_bits(above[x] & ~beyond))
-        for y in covers[x]:
+        after[x] = list(_bits(rows[x] & elements & ~(1 << x)))
+        for y in after[x]:
             waiting[y] += 1
-    minimal = 0
-    for x in _bits(elements):
-        if not waiting[x]:
-            minimal |= 1 << x
+            minimal &= ~(1 << y)
     sequence: list[int] = []
     left = elements  # not yet placed
     # One entry per depth: the placeable elements there, and those not tried yet.
@@ -85,7 +76,7 @@ def _extensions(poset: Poset) -> Iterator[Trace]:
             if sequence:
                 x = sequence.pop()
                 left |= 1 << x
-                for y in covers[x]:
+                for y in after[x]:
                     waiting[y] += 1
             continue
         low = options & -options
@@ -98,7 +89,7 @@ def _extensions(poset: Poset) -> Iterator[Trace]:
         sequence.append(x)
         left ^= low
         free = placeable[-1] ^ low
-        for y in covers[x]:
+        for y in after[x]:
             waiting[y] -= 1
             if not waiting[y]:
                 free |= 1 << y
@@ -112,23 +103,29 @@ def linear_extensions(poset: Poset) -> list[Trace]:
 
 
 def count_linear_extensions(poset: Poset) -> int:
-    """Count linear extensions without generating them.
+    """Count linear extensions without generating them."""
+    _check_antisymmetric(poset)
+    return _count(_mask(poset.elements), poset.order.rows)
+
+
+def _count(elements: int, rows: Sequence[int]) -> int:
+    """The number of ``_extensions(elements, rows)``, same graph contract.
 
     Dynamic programming over the down-set lattice, one layer per size:
     peeling a maximal element from a down-set keeps it a down-set, and each
     extension corresponds to one full peeling path from the whole poset.
+    An element of a down-set is maximal in it exactly when none of its
+    graph successors is still in it, closed graph or not.
     """
-    _check_antisymmetric(poset)
-    elements, above = _strict_rows(poset)
     layer = {elements: 1}
-    for _ in range(len(poset.elements)):
+    for _ in range(elements.bit_count()):
         peeled: defaultdict[int, int] = defaultdict(int)
         for mask, ways in layer.items():
             left = mask
             while left:  # the set bits of mask, inlined: this is the hot loop
                 low = left & -left
                 left ^= low
-                if not above[low.bit_length() - 1] & mask:
+                if not rows[low.bit_length() - 1] & (mask ^ low):
                     peeled[mask ^ low] += ways
         layer = peeled
     return layer.get(0, 0)

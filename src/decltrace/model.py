@@ -224,8 +224,8 @@ def satisfies(trace: Trace, constraint: Constraint) -> bool:
 def classify(process: DeclarativeProcess) -> ProcessClass:
     """Classify the constraint set before any successor expansion."""
     kinds = {c.kind for c in process.constraints}
-    # An empty constraint set takes the cheapest specialized path; every
-    # path agrees on it (all permutations of all subsets).
+    # An empty constraint set holds no constraint of another kind, so it
+    # classifies as precedence-only.
     if kinds <= {ConstraintKind.PRECEDENCE}:
         return ProcessClass.PRECEDENCE_ONLY
     if kinds == {ConstraintKind.RESPONSE}:

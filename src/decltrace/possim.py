@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import DeclarativeProcess, expand_successors
 from .quotient import QuotientPoset, condense
@@ -153,38 +153,37 @@ def _closed_order(n: int, members: int, topological: list[int], succ: list[int])
     return BinaryRelation(n, tuple(rows), members)
 
 
-def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
-    """All realizable trace images, each exactly once.
+def _walk(ctx: PossimContext, classes: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Each nonempty image whose generator is an antichain of ``classes``.
 
-    Output is sorted by (size, member indices); the empty image is always
-    present and comes first.
+    ``classes`` is a mask of quotient classes closed under comparability, such
+    as those of one connected component.  Yields (members, generator,
+    topological order): two activity masks, and a topological sort of the
+    ordering graph on the members.  The model rejects self-constraints, so
+    ``ctx.ordering.rows`` is already strict.
     """
-    ctx = PossimContext.of(process)
     quotient = ctx.quotient
+    succ = ctx.ordering.rows
     k = len(quotient.classes)
-    n = ctx.occurrence.n
-    class_mask = [_mask(group) for group in quotient.classes]
+    class_mask = [0] * k
     class_down = [0] * k  # activities of the classes at or below c
     related = [0] * k  # classes comparable with c, c included
-    for a, row in enumerate(quotient.order.rows):
-        for b in _bits(row):
+    pred = [0] * ctx.ordering.n
+    for a in _bits(classes):
+        class_mask[a] = _mask(quotient.classes[a])
+        for b in _bits(quotient.order.rows[a]):
             class_down[b] |= class_mask[a]
             related[a] |= 1 << b
             related[b] |= 1 << a
-    succ = [row & ~(1 << v) for v, row in enumerate(ctx.ordering.rows)]
-    pred = [0] * n
-    for v, row in enumerate(succ):
-        for w in _bits(row):
-            pred[w] |= 1 << v
-    empty_order = BinaryRelation(n, (0,) * n, 0)
-    found = [DownSet(frozenset(), empty_order, frozenset())]
+        for v in quotient.classes[a]:
+            for w in _bits(succ[v]):
+                pred[w] |= 1 << v
     # Each entry is an antichain of classes: the first class that may extend
     # it, the classes it rules out, and its image and generator as masks.
     stack = [(0, 0, 0, 0)]
-    every_class = (1 << k) - 1
     while stack:
         start, blocked, members, generator = stack.pop()
-        for c in _bits(every_class >> start << start & ~blocked):
+        for c in _bits(classes >> start << start & ~blocked):
             grown = members | class_down[c]
             topological = _topological_order(grown, succ, pred)
             if topological is None:
@@ -192,13 +191,26 @@ def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
                 # one; the whole subtree is dead.
                 continue
             grown_generator = generator | class_mask[c]
-            found.append(
-                DownSet(
-                    frozenset(_bits(grown)),
-                    _closed_order(n, grown, topological, succ),
-                    frozenset(_bits(grown_generator)),
-                )
-            )
+            yield grown, grown_generator, topological
             stack.append((c + 1, blocked | related[c], grown, grown_generator))
+
+
+def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
+    """All realizable trace images, each exactly once.
+
+    Output is sorted by (size, member indices); the empty image is always
+    present and comes first.
+    """
+    ctx = PossimContext.of(process)
+    n = ctx.ordering.n
+    found = [DownSet(frozenset(), BinaryRelation(n, (0,) * n, 0), frozenset())]
+    for members, generator, topological in _walk(ctx, (1 << len(ctx.quotient.classes)) - 1):
+        found.append(
+            DownSet(
+                frozenset(_bits(members)),
+                _closed_order(n, members, topological, ctx.ordering.rows),
+                frozenset(_bits(generator)),
+            )
+        )
     found.sort(key=lambda downset: (len(downset.members), sorted(downset.members)))
     return found

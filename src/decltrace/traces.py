@@ -1,15 +1,16 @@
 """Trace-set assembly.
 
 Every trace is a linear extension of exactly one realizable image, and an
-image of size L yields traces of length L only.  Images come sorted by
-size, and each image's extensions come in lexicographic order, so a heap
-merge of the extension generators of one size gives that size's traces in
-order, with no global sort and no trace held longer than it takes to emit.
+image of size L yields traces of length L only.  The possim walk gives each
+image as a mask; its extensions are the topological orders of the ordering
+graph on it, in lexicographic order.  So a heap merge of the extension
+generators of one size gives that size's traces in order, with no global
+sort and no trace held longer than it takes to emit.
 
 Counting splits the activities into the connected components of the
 constraint graph.  Components share no constraint, so every trace is a
 shuffle of one trace per component, and the per-length counts of the
-components combine by binomial convolution.
+components, each walked over its own classes, join by binomial convolution.
 """
 
 from __future__ import annotations
@@ -19,19 +20,16 @@ from itertools import groupby
 from math import comb
 from typing import Iterator
 
-from .linext import Poset, _extensions, count_linear_extensions
-from .linext import linear_extensions  # noqa: F401  (bench/tracing.py wraps it here)
-from .model import (
-    ConstraintKind,
-    DeclarativeProcess,
-    ProcessClass,
-    Trace,
-    classify,
-    make_process,
-)
-from .possim import enumerate_possim
-from .quotient import condense  # noqa: F401  (bench/tracing.py wraps it here)
-from .relations import _bits, implied_occurrence
+from .linext import _count, _extensions
+from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
+from .possim import PossimContext, _walk
+from .relations import _bits, _mask, implied_occurrence
+
+# bench/tracing.py looks these names up on this module to wrap them in timing
+# spans, so they stay importable here although nothing here calls them.
+from .linext import count_linear_extensions, linear_extensions  # noqa: F401
+from .possim import enumerate_possim  # noqa: F401
+from .quotient import condense  # noqa: F401
 
 
 def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) -> None:
@@ -45,10 +43,14 @@ def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     Memory is bounded by the images of the process, not by its traces: the
     extensions of the images of one size are generated together and merged.
     """
-    # Each image's order comes from a topological sort in the possim walk, so
-    # it is antisymmetric: iter_linear_extensions' check would only repeat it.
-    for _, same_size in groupby(enumerate_possim(process), key=lambda d: len(d.members)):
-        yield from merge(*(_extensions(Poset(d.members, d.order)) for d in same_size))
+    ctx = PossimContext.of(process)
+    every = (1 << len(ctx.quotient.classes)) - 1
+    images = sorted((members for members, _, _ in _walk(ctx, every)), key=int.bit_count)
+    # The empty image is the only one the walk does not yield.  Within one
+    # size the images may come in any order: no trace has two images.
+    yield ()
+    for _, same_size in groupby(images, key=int.bit_count):
+        yield from merge(*(_extensions(members, ctx.ordering.rows) for members in same_size))
 
 
 def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
@@ -122,16 +124,6 @@ def _components(process: DeclarativeProcess) -> list[int]:
     return out
 
 
-def _image_counts(process: DeclarativeProcess) -> list[int]:
-    """Traces by length, summed over the images of one process."""
-    counts: list[int] = []
-    for d in enumerate_possim(process):
-        size = len(d.members)
-        counts.extend([0] * (size + 1 - len(counts)))
-        counts[size] += count_linear_extensions(Poset(d.members, d.order))
-    return counts
-
-
 def _shuffle_counts(a: list[int], b: list[int]) -> list[int]:
     """Per-length counts of the shuffles of two disjoint trace sets.
 
@@ -150,22 +142,20 @@ def count_by_length(process: DeclarativeProcess) -> list[int]:
     """Number of traces of each length, from 0 to the longest trace.
 
     Each connected component of the constraint graph is counted on its own,
-    as a process over just its activities, and the counts are joined by
-    binomial convolution.
+    over the images the walk finds among the component's classes, and the
+    counts are joined by binomial convolution.
     """
-    components = _components(process)
-    names = process.names()
-    component_of = [0] * process.n
-    for at, mask in enumerate(components):
-        for v in _bits(mask):
-            component_of[v] = at
-    constraints: list[list[tuple[ConstraintKind, str, str]]] = [[] for _ in components]
-    for c in process.constraints:
-        constraints[component_of[c.source.index]].append((c.kind, c.source.name, c.target.name))
+    ctx = PossimContext.of(process)
+    class_of = ctx.quotient.class_of
     total = [1]
-    for mask, own in zip(components, constraints):
-        part = make_process((names[v] for v in _bits(mask)), own)
-        total = _shuffle_counts(total, _image_counts(part))
+    for component in _components(process):
+        classes = _mask(class_of[v] for v in _bits(component))
+        counts = [1]  # the empty image
+        for members, _, _ in _walk(ctx, classes):
+            size = members.bit_count()
+            counts.extend([0] * (size + 1 - len(counts)))
+            counts[size] += _count(members, ctx.ordering.rows)
+        total = _shuffle_counts(total, counts)
     return total
 
 

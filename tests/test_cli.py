@@ -179,6 +179,15 @@ class TestFailureModes:
         assert main(["count", "/nonexistent/path.proc"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.proc"
+        path.write_bytes(b"activities a b\nprec a \xff\n")
+        assert main(["count", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["not-a-command"])
