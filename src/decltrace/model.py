@@ -162,23 +162,19 @@ def parse_process(text: str) -> DeclarativeProcess:
             raise ParseError(lineno, f"unrecognized directive {head!r}")
     if not names:
         raise ParseError(1, "no activities declared")
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     for name, lineno in names:
         if name in seen:
             raise ParseError(lineno, f"duplicate activity name {name!r}")
-        seen[name] = lineno
-    activities = tuple(Activity(i, name) for i, (name, _) in enumerate(names))
-    by_name = {a.name: a for a in activities}
-    constraints = []
-    for kind, source, target, lineno in raw_constraints:
-        if source not in by_name:
+        seen.add(name)
+    for _, source, target, lineno in raw_constraints:
+        if source not in seen:
             raise ParseError(lineno, f"unknown activity {source!r}")
-        if target not in by_name:
+        if target not in seen:
             raise ParseError(lineno, f"unknown activity {target!r}")
         if source == target:
             raise ParseError(lineno, f"self-constraint on {source!r}")
-        constraints.append(Constraint(ConstraintKind(kind), by_name[source], by_name[target]))
-    return DeclarativeProcess(activities, tuple(constraints))
+    return make_process([name for name, _ in names], [c[:3] for c in raw_constraints])
 
 
 def render_process(process: DeclarativeProcess) -> str:

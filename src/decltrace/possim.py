@@ -153,17 +153,18 @@ def _closed_order(n: int, members: int, topological: list[int], succ: list[int])
     return BinaryRelation(n, tuple(rows), members)
 
 
-def _walk(ctx: PossimContext, classes: int) -> Iterator[tuple[int, int, list[int]]]:
-    """Each nonempty image whose generator is an antichain of ``classes``.
+def _walk(ctx: PossimContext, activities: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Every image inside ``activities``, the empty image first.
 
-    ``classes`` is a mask of quotient classes closed under comparability, such
-    as those of one connected component.  Yields (members, generator,
+    ``activities`` is a mask closed under the constraints, such as all
+    activities or one connected component.  Yields (members, generator,
     topological order): two activity masks, and a topological sort of the
     ordering graph on the members.  The model rejects self-constraints, so
     ``ctx.ordering.rows`` is already strict.
     """
     quotient = ctx.quotient
     succ = ctx.ordering.rows
+    classes = _mask(quotient.class_of[v] for v in _bits(activities))
     k = len(quotient.classes)
     class_mask = [0] * k
     class_down = [0] * k  # activities of the classes at or below c
@@ -178,6 +179,7 @@ def _walk(ctx: PossimContext, classes: int) -> Iterator[tuple[int, int, list[int
         for v in quotient.classes[a]:
             for w in _bits(succ[v]):
                 pred[w] |= 1 << v
+    yield 0, 0, []
     # Each entry is an antichain of classes: the first class that may extend
     # it, the classes it rules out, and its image and generator as masks.
     stack = [(0, 0, 0, 0)]
@@ -203,14 +205,13 @@ def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
     """
     ctx = PossimContext.of(process)
     n = ctx.ordering.n
-    found = [DownSet(frozenset(), BinaryRelation(n, (0,) * n, 0), frozenset())]
-    for members, generator, topological in _walk(ctx, (1 << len(ctx.quotient.classes)) - 1):
-        found.append(
-            DownSet(
-                frozenset(_bits(members)),
-                _closed_order(n, members, topological, ctx.ordering.rows),
-                frozenset(_bits(generator)),
-            )
+    found = [
+        DownSet(
+            frozenset(_bits(members)),
+            _closed_order(n, members, topological, ctx.ordering.rows),
+            frozenset(_bits(generator)),
         )
+        for members, generator, topological in _walk(ctx, (1 << n) - 1)
+    ]
     found.sort(key=lambda downset: (len(downset.members), sorted(downset.members)))
     return found

@@ -10,7 +10,7 @@ sort and no trace held longer than it takes to emit.
 Counting splits the activities into the connected components of the
 constraint graph.  Components share no constraint, so every trace is a
 shuffle of one trace per component, and the per-length counts of the
-components, each walked over its own classes, join by binomial convolution.
+components, each walked on its own, join by binomial convolution.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from typing import Iterator
 from .linext import _count, _extensions
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
 from .possim import PossimContext, _walk
-from .relations import _bits, _mask, implied_occurrence
+from .quotient import condense
+from .relations import _bits, implied_occurrence
 
 # bench/tracing.py looks these names up on this module to wrap them in timing
 # spans, so they stay importable here although nothing here calls them.
 from .linext import count_linear_extensions, linear_extensions  # noqa: F401
 from .possim import enumerate_possim  # noqa: F401
-from .quotient import condense  # noqa: F401
 
 
 def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) -> None:
@@ -44,11 +44,9 @@ def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     extensions of the images of one size are generated together and merged.
     """
     ctx = PossimContext.of(process)
-    every = (1 << len(ctx.quotient.classes)) - 1
-    images = sorted((members for members, _, _ in _walk(ctx, every)), key=int.bit_count)
-    # The empty image is the only one the walk does not yield.  Within one
-    # size the images may come in any order: no trace has two images.
-    yield ()
+    everything = (1 << process.n) - 1
+    images = sorted((members for members, _, _ in _walk(ctx, everything)), key=int.bit_count)
+    # Within one size the images may come in any order: no trace has two.
     for _, same_size in groupby(images, key=int.bit_count):
         yield from merge(*(_extensions(members, ctx.ordering.rows) for members in same_size))
 
@@ -75,14 +73,13 @@ def maximum_image(process: DeclarativeProcess) -> frozenset[int]:
     if classify(process) not in (ProcessClass.PRECEDENCE_ONLY, ProcessClass.RESPONSE_ONLY):
         raise ValueError("maximum_image needs a precedence-only or response-only process")
     occurrence = implied_occurrence(process)
-    indices = occurrence.member_indices()
-    cyclic = {
-        x
-        for x in indices
-        if any(y != x and occurrence.has(x, y) and occurrence.has(y, x) for y in indices)
-    }
-    above = {z for z in indices if any(occurrence.has(x, z) for x in cyclic)}
-    return frozenset(indices) - above
+    # A class of several activities is a cycle, and row x holds what forces x.
+    above = 0
+    for group in condense(occurrence).classes:
+        if len(group) > 1:
+            for x in group:
+                above |= occurrence.rows[x]
+    return frozenset(_bits(occurrence.members & ~above))
 
 
 def traces_precedence_only(process: DeclarativeProcess) -> list[Trace]:
@@ -142,16 +139,14 @@ def count_by_length(process: DeclarativeProcess) -> list[int]:
     """Number of traces of each length, from 0 to the longest trace.
 
     Each connected component of the constraint graph is counted on its own,
-    over the images the walk finds among the component's classes, and the
-    counts are joined by binomial convolution.
+    over the images the walk finds inside it (the empty one included), and
+    the counts are joined by binomial convolution.
     """
     ctx = PossimContext.of(process)
-    class_of = ctx.quotient.class_of
     total = [1]
     for component in _components(process):
-        classes = _mask(class_of[v] for v in _bits(component))
-        counts = [1]  # the empty image
-        for members, _, _ in _walk(ctx, classes):
+        counts: list[int] = []
+        for members, _, _ in _walk(ctx, component):
             size = members.bit_count()
             counts.extend([0] * (size + 1 - len(counts)))
             counts[size] += _count(members, ctx.ordering.rows)
