@@ -81,6 +81,16 @@ def _format_trace(names: tuple[str, ...], trace: Trace) -> str:
     return " ".join(names[i] for i in trace) if trace else "-"
 
 
+def _digits(n: int) -> str:
+    """``str(n)``, also past the int-to-str digit limit of Python 3.11 and 3.10.7+."""
+    try:
+        return str(n)
+    except ValueError:  # Decimal has no such limit; imported here, as it costs 2 ms
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 def _run_traces(process: DeclarativeProcess, fmt: str) -> int:
     names = process.names()
     stream = iter_traces(process)
@@ -153,9 +163,9 @@ def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
     if args.command == "count":
         if args.by_length:
             for length, count in enumerate(count_by_length(process)):
-                print(length, count)
+                print(length, _digits(count))
         else:
-            print(count_traces(process))
+            print(_digits(count_traces(process)))
         return EXIT_OK
     if args.command == "possim":
         return _run_possim(process)

@@ -118,10 +118,8 @@ def make_process(
     by_name = {a.name: a for a in activities}
     built = []
     for kind, source, target in constraints:
-        if not isinstance(kind, ConstraintKind):
-            kind = ConstraintKind(kind)
         try:
-            built.append(Constraint(kind, by_name[source], by_name[target]))
+            built.append(Constraint(ConstraintKind(kind), by_name[source], by_name[target]))
         except KeyError as exc:
             raise ValueError(f"unknown activity {exc.args[0]!r}") from None
     return DeclarativeProcess(activities, tuple(built))
@@ -136,7 +134,7 @@ def parse_process(text: str) -> DeclarativeProcess:
     ``succ <a> <b>``.
     """
     names: list[tuple[str, int]] = []
-    raw_constraints: list[tuple[str, str, str, int]] = []
+    triples: list[tuple[tuple[str, str, str], int]] = []
     constraints_started = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -157,7 +155,7 @@ def parse_process(text: str) -> DeclarativeProcess:
             constraints_started = True
             if len(tokens) != 3:
                 raise ParseError(lineno, f"{head!r} takes exactly two activity names")
-            raw_constraints.append((head, tokens[1], tokens[2], lineno))
+            triples.append(((head, tokens[1], tokens[2]), lineno))
         else:
             raise ParseError(lineno, f"unrecognized directive {head!r}")
     if not names:
@@ -167,14 +165,14 @@ def parse_process(text: str) -> DeclarativeProcess:
         if name in seen:
             raise ParseError(lineno, f"duplicate activity name {name!r}")
         seen.add(name)
-    for _, source, target, lineno in raw_constraints:
+    for (_, source, target), lineno in triples:
         if source not in seen:
             raise ParseError(lineno, f"unknown activity {source!r}")
         if target not in seen:
             raise ParseError(lineno, f"unknown activity {target!r}")
         if source == target:
             raise ParseError(lineno, f"self-constraint on {source!r}")
-    return make_process([name for name, _ in names], [c[:3] for c in raw_constraints])
+    return make_process([name for name, _ in names], [triple for triple, _ in triples])
 
 
 def render_process(process: DeclarativeProcess) -> str:
@@ -203,18 +201,16 @@ def satisfies(trace: Trace, constraint: Constraint) -> bool:
     ``prec a b`` holds when b is absent or a occurs before b; ``resp a b``
     holds when a is absent or b occurs after a; ``succ a b`` requires both.
     """
-    if constraint.kind is ConstraintKind.SUCCESSOR:
-        return satisfies(
-            trace, Constraint(ConstraintKind.PRECEDENCE, constraint.source, constraint.target)
-        ) and satisfies(
-            trace, Constraint(ConstraintKind.RESPONSE, constraint.source, constraint.target)
-        )
     position = {index: at for at, index in enumerate(trace)}
     source = position.get(constraint.source.index)
     target = position.get(constraint.target.index)
+    precedes = target is None or (source is not None and source < target)
+    responds = source is None or (target is not None and target > source)
     if constraint.kind is ConstraintKind.PRECEDENCE:
-        return target is None or (source is not None and source < target)
-    return source is None or (target is not None and target > source)
+        return precedes
+    if constraint.kind is ConstraintKind.RESPONSE:
+        return responds
+    return precedes and responds
 
 
 def classify(process: DeclarativeProcess) -> ProcessClass:

@@ -79,6 +79,8 @@ def closure(rel: BinaryRelation) -> BinaryRelation:
     for k in indices:
         bit = 1 << k
         reach = rows[k]
+        if reach == bit:
+            continue  # k reaches only itself, which adds nothing to any row
         for i in indices:
             if rows[i] & bit:
                 rows[i] |= reach

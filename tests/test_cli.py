@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -96,6 +97,27 @@ class TestCount:
             lines = capsys.readouterr().out.splitlines()
             assert [int(line.split()[0]) for line in lines] == list(range(len(lines)))
             assert sum(int(line.split()[1]) for line in lines) == count
+
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_counts_past_the_int_string_limit_print_every_digit(self, proc_file, capsys):
+        # e * 330! has 690 digits.  A lowered limit keeps the case cheap; the
+        # default limit of 4300 digits is passed from about 1560 activities.
+        path = proc_file("activities " + " ".join(f"a{i}" for i in range(330)) + "\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["count", path]) == 0
+            assert main(["count", "--by-length", path]) == 0
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        lines = capsys.readouterr().out.splitlines()
+        by_length = [math.perm(330, k) for k in range(331)]
+        assert lines[0] == str(sum(by_length))
+        assert lines[1:] == [f"{k} {c}" for k, c in enumerate(by_length)]
 
 
 class TestPossim:

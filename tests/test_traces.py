@@ -6,6 +6,7 @@ import pytest
 from decltrace import (
     Poset,
     brute_force_traces,
+    count_by_length,
     count_linear_extensions,
     count_traces,
     enumerate_possim,
@@ -22,6 +23,7 @@ from decltrace import (
     traces_successor_only,
 )
 from support import (
+    KINDS,
     example_mixed_five,
     example_mixed_three,
     example_prec_six,
@@ -151,6 +153,38 @@ class TestDispatchAndCounting:
                 for d in enumerate_possim(p)
             )
             assert per_image == len(result)
+
+    def test_counts_by_length_are_the_extension_counts_of_the_images(self):
+        # The paper's characterization, past the oracle's range: the traces of
+        # length L are the linear extensions of the images of size L.  This
+        # compares the per-component walk, the graph DP and the convolution
+        # with the whole-process walk and the closed-order DP.
+        rng = random.Random(149)
+        names = [f"a{i}" for i in range(12)]
+
+        def constraints(kinds, n, low, draws):
+            pairs = [rng.sample(range(low, n), 2) for _ in range(draws)] if n - low > 1 else []
+            return [(rng.choice(kinds), names[i], names[j]) for i, j in pairs]
+
+        processes = []
+        for kinds in (KINDS, ("prec",), ("resp",), ("succ",)):
+            for _ in range(50):
+                n = rng.randint(1, 12)
+                drawn = constraints(kinds, n, 0, rng.randint(n // 2, 2 * n))
+                processes.append(make_process(names[:n], drawn))
+        for _ in range(30):
+            # A contradictory pair beside the rest: its only image is the empty one.
+            n = rng.randint(3, 12)
+            pair = [("succ", "a0", "a1"), ("succ", "a1", "a0")]
+            drawn = constraints(KINDS, n, 2, rng.randint(0, n))
+            processes.append(make_process(names[:n], pair + drawn))
+        for p in processes:
+            expected = [0] * (p.n + 1)
+            for d in enumerate_possim(p):
+                expected[len(d.members)] += count_linear_extensions(Poset(d.members, d.order))
+            while not expected[-1]:
+                expected.pop()
+            assert count_by_length(p) == expected
 
     def test_specialized_paths_agree_with_general(self):
         rng = random.Random(131)
