@@ -98,7 +98,6 @@ class TestCount:
             assert [int(line.split()[0]) for line in lines] == list(range(len(lines)))
             assert sum(int(line.split()[1]) for line in lines) == count
 
-
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
     )
