@@ -15,9 +15,12 @@ from pathlib import Path
 
 from .model import DeclarativeProcess, ParseError, Trace, classify, parse_process, satisfies
 from .oracle import SizeLimitError, brute_force_traces
-from .possim import enumerate_possim
-from .relations import hasse_pairs
+from .possim import PossimContext, _covers, _walk
 from .traces import count_by_length, count_traces, iter_traces, traces
+
+# bench/tracing.py looks this name up on this module to wrap it in a timing
+# span, so it stays importable here although nothing here calls it.
+from .possim import enumerate_possim  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -25,7 +28,7 @@ EXIT_MISMATCH = 2
 EXIT_TOO_LARGE = 3
 
 MISMATCH_SHOWN = 5  # traces listed per side of a failed ``check``
-WRITE_BATCH = 4096  # trace lines per write of ``traces``
+WRITE_BATCH = 4096  # lines per write of ``traces`` and ``possim``
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,12 +116,23 @@ def _run_traces(process: DeclarativeProcess, fmt: str) -> int:
 
 def _run_possim(process: DeclarativeProcess) -> int:
     names = process.names()
-    for downset in enumerate_possim(process):
-        label = "{" + ",".join(names[i] for i in sorted(downset.members)) + "}"
-        covers = hasse_pairs(downset.order)
+    ctx = PossimContext.of(process)
+    n = ctx.ordering.n
+    succ = ctx.ordering.rows
+    # Each image is formatted as the walk finds it; only its sort key, the
+    # order of enumerate_possim, and its line are kept.
+    found = []
+    for members, _, topological in _walk(ctx, (1 << n) - 1):
+        elements = sorted(topological)  # the members, ascending
+        line = "{" + ",".join([names[i] for i in elements]) + "}"
+        covers = _covers(n, members, topological, succ)
         if covers:
-            label += " " + " ".join(f"{names[i]}<{names[j]}" for i, j in covers)
-        print(label)
+            line += " " + " ".join([f"{names[i]}<{names[j]}" for i, j in covers])
+        found.append(((len(elements), elements), line))
+    found.sort()  # the keys are distinct, so lines are never compared
+    write = sys.stdout.write
+    for start in range(0, len(found), WRITE_BATCH):
+        write("".join([line + "\n" for _, line in found[start : start + WRITE_BATCH]]))
     return EXIT_OK
 
 

@@ -153,6 +153,27 @@ def _closed_order(n: int, members: int, topological: list[int], succ: list[int])
     return BinaryRelation(n, tuple(rows), members)
 
 
+def _covers(n: int, members: int, topological: list[int], succ: list[int]) -> list[tuple[int, int]]:
+    """Cover pairs of the order ``succ`` induces on ``members``, by index.
+
+    They are the transitive reduction of the acyclic graph on ``members``
+    (Aho, Garey & Ullman 1972): the direct successors of each element that
+    no other direct successor reaches.  The same sinks-first pass as
+    ``_closed_order``, with strict reach; ``hasse_pairs`` of that order
+    gives the same list.
+    """
+    reach = [0] * n
+    upper = [0] * n  # the elements that cover v
+    for v in reversed(topological):
+        direct = succ[v] & members
+        beyond = 0
+        for w in _bits(direct):
+            beyond |= reach[w]
+        reach[v] = direct | beyond
+        upper[v] = direct & ~beyond
+    return [(v, w) for v in sorted(topological) if upper[v] for w in _bits(upper[v])]
+
+
 def _walk(ctx: PossimContext, activities: int) -> Iterator[tuple[int, int, list[int]]]:
     """Every image inside ``activities``, the empty image first.
 

@@ -130,6 +130,20 @@ class TestPossim:
             "{a,b,c} b<a c<a\n"
         )
 
+    def test_long_chain(self, proc_file, capsys):
+        # Each prefix of the chain is an image, so covers read from each
+        # image's closed order would take cubic time here.
+        n = 1000
+        names = [f"a{i}" for i in range(n)]
+        text = f"activities {' '.join(names)}\n"
+        text += "".join(f"prec {a} {b}\n" for a, b in zip(names, names[1:]))
+        assert main(["possim", proc_file(text)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == n + 1
+        assert lines[0] == "{}"
+        covers = " ".join(f"{a}<{b}" for a, b in zip(names, names[1:]))
+        assert lines[-1] == "{" + ",".join(names) + "} " + covers
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -228,18 +242,23 @@ def test_module_entry_point(tmp_path):
 
 
 def test_early_close_of_stdout_exits_zero_quietly(tmp_path):
-    # Seven unconstrained activities print 13,700 traces, about 170 KB: far
-    # more than a pipe holds, so the writer meets the closed read end.
+    # Both outputs are far more than a pipe holds, so the writer meets the
+    # closed read end: seven unconstrained activities print 13,700 traces,
+    # about 170 KB, and thirteen have 8192 images, about 120 KB.
     path = tmp_path / "p.proc"
-    path.write_text("activities a b c d e f g\n", encoding="utf-8")
-    child = subprocess.Popen(
-        [sys.executable, "-m", "decltrace", "traces", str(path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    assert child.stdout.readline() == b"-\n"
-    child.stdout.close()
-    stderr = child.stderr.read()
-    assert child.wait(timeout=60) == 0
-    child.stderr.close()
-    assert stderr == b""
+    for command, names, first_line in (
+        ("traces", "a b c d e f g", b"-\n"),
+        ("possim", "a b c d e f g h i j k l m", b"{}\n"),
+    ):
+        path.write_text(f"activities {names}\n", encoding="utf-8")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "decltrace", command, str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline() == first_line
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+        child.stderr.close()
+        assert stderr == b""

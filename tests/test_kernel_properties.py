@@ -5,11 +5,17 @@ oracle, fixed-point closure, permutation filtering, or the textbook
 definition, on small random processes, relations and posets.  Trace counts
 are checked against the oracle's length histogram, against enumeration, and
 against a closed form.  The lazy generators are checked against the oracle
-and the lists, and for the memory they hold.
+and the lists, and for the memory they hold.  The ``possim`` command's
+bytes are checked against lines built from ``enumerate_possim`` and
+``hasse_pairs``.
 """
 
+import contextlib
+import io
+import tempfile
 import tracemalloc
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -36,6 +42,7 @@ from decltrace import (
     restrict,
     traces,
 )
+from decltrace.cli import main
 from decltrace.linext import _count, _extensions
 from decltrace.relations import _bits, _mask
 from support import KINDS, LETTERS, closure_by_iteration, compliant_permutations
@@ -44,8 +51,8 @@ MAX_N = 7
 
 
 @st.composite
-def processes(draw, kinds=KINDS):
-    n = draw(st.integers(1, MAX_N))
+def processes(draw, kinds=KINDS, max_n=MAX_N):
+    n = draw(st.integers(1, max_n))
     constraints = []
     if n >= 2:
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
@@ -249,6 +256,43 @@ def test_hasse_pairs_are_the_covers(poset):
 def test_image_hasse_pairs_are_the_covers(process):
     for poset in image_posets(process):
         assert hasse_pairs(poset.order) == naive_covers(poset.order)
+
+
+def process_text(process) -> str:
+    lines = ["activities " + " ".join(process.names())]
+    lines += [f"{c.kind.value} {c.source.name} {c.target.name}" for c in process.constraints]
+    return "\n".join(lines) + "\n"
+
+
+def reference_possim_output(process) -> str:
+    """The ``possim`` lines built from ``enumerate_possim`` and ``hasse_pairs``."""
+    names = process.names()
+    lines = []
+    for downset in enumerate_possim(process):
+        line = "{" + ",".join(names[i] for i in sorted(downset.members)) + "}"
+        covers = hasse_pairs(downset.order)
+        if covers:
+            line += " " + " ".join(f"{names[i]}<{names[j]}" for i, j in covers)
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+@given(st.one_of([processes(kinds, max_n=8) for kinds in (KINDS, ("prec",), ("resp",), ("succ",))]))
+# A redundant edge: a<c follows from a<b<c and is no cover.
+@example(make_process("abc", [("prec", "a", "b"), ("prec", "b", "c"), ("prec", "a", "c")]))
+# A resp edge pointing down the occurrence order, from c to the lower index a.
+@example(make_process("abc", [("resp", "c", "a"), ("prec", "b", "a")]))
+# A contradictory two-activity class, a dead subtree of the walk, beside a
+# free activity.
+@example(make_process("abc", [("succ", "a", "b"), ("succ", "b", "a")]))
+def test_possim_cli_prints_the_reference_covers(process):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.proc"
+        path.write_text(process_text(process), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["possim", str(path)]) == 0
+    assert out.getvalue() == reference_possim_output(process)
 
 
 @given(relations())
