@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> DeclarativeProcess:
-    return parse_process(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig drops the byte-order mark that some Windows editors write first.
+    return parse_process(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _format_trace(names: tuple[str, ...], trace: Trace) -> str:

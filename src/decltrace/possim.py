@@ -4,9 +4,9 @@ A subset of the alphabet is realizable as the image of some trace exactly
 when it is a down-set of the occurrence preorder whose induced ordering law
 is antisymmetric.  Each such image is certified here as a ``DownSet``.
 
-Enumeration walks a lexicographic tree of antichains of the quotient poset
-(the generator sets form an independence system, so a failed node prunes
-its whole subtree) and expands each antichain back to activity level.
+Enumeration walks a lexicographic tree of antichains of mutual-forcing
+classes, each class walked as its smallest activity (the generator sets form
+an independence system, so a failed node prunes its whole subtree).
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .model import DeclarativeProcess, expand_successors
-from .quotient import QuotientPoset, condense
+# bench/tracing.py looks this name up on this module to wrap it in a timing
+# span, so it stays importable here although nothing here calls it.
+from .quotient import condense  # noqa: F401
 from .relations import (
     BinaryRelation,
     _bits,
-    _mask,
     closure,
     implied_occurrence,
     is_antisymmetric,
@@ -52,18 +53,16 @@ class DownSet:
 
 @dataclass(frozen=True)
 class PossimContext:
-    """Precomputed relations shared by independence checks for one process."""
+    """A successor-expanded process with its occurrence preorder and ordering graph."""
 
     process: DeclarativeProcess
     occurrence: BinaryRelation
     ordering: BinaryRelation
-    quotient: QuotientPoset
 
     @classmethod
     def of(cls, process: DeclarativeProcess) -> "PossimContext":
         expanded = expand_successors(process)
-        occurrence = implied_occurrence(expanded)
-        return cls(expanded, occurrence, order_preserving(expanded), condense(occurrence))
+        return cls(expanded, implied_occurrence(expanded), order_preserving(expanded))
 
 
 def max_elements(subset: Iterable[int], preorder: BinaryRelation) -> frozenset[int]:
@@ -183,37 +182,32 @@ def _walk(ctx: PossimContext, activities: int) -> Iterator[tuple[int, int, list[
     ordering graph on the members.  The model rejects self-constraints, so
     ``ctx.ordering.rows`` is already strict.
     """
-    quotient = ctx.quotient
+    above = ctx.occurrence.rows  # above[a]: what forces a, a included
     succ = ctx.ordering.rows
-    classes = _mask(quotient.class_of[v] for v in _bits(activities))
-    k = len(quotient.classes)
-    class_mask = [0] * k
-    class_down = [0] * k  # activities of the classes at or below c
-    related = [0] * k  # classes comparable with c, c included
+    down = [0] * ctx.ordering.n  # down[a]: what a forces, a included
     pred = [0] * ctx.ordering.n
-    for a in _bits(classes):
-        class_mask[a] = _mask(quotient.classes[a])
-        for b in _bits(quotient.order.rows[a]):
-            class_down[b] |= class_mask[a]
-            related[a] |= 1 << b
-            related[b] |= 1 << a
-        for v in quotient.classes[a]:
-            for w in _bits(succ[v]):
-                pred[w] |= 1 << v
+    for a in _bits(activities):
+        for b in _bits(above[a]):
+            down[b] |= 1 << a
+        for w in _bits(succ[a]):
+            pred[w] |= 1 << a
+    # The class of a is above[a] & down[a]; reps holds each class's smallest member.
+    reps = sum(1 << a for a in _bits(activities) if not above[a] & down[a] & ((1 << a) - 1))
+    related = {a: (above[a] | down[a]) & reps for a in _bits(reps)}
     yield 0, 0, []
-    # Each entry is an antichain of classes: the first class that may extend
-    # it, the classes it rules out, and its image and generator as masks.
+    # Each entry is an antichain of classes, as reps: the first rep that may
+    # extend it, the reps it rules out, and its image and generator as masks.
     stack = [(0, 0, 0, 0)]
     while stack:
         start, blocked, members, generator = stack.pop()
-        for c in _bits(classes >> start << start & ~blocked):
-            grown = members | class_down[c]
+        for c in _bits(reps >> start << start & ~blocked):
+            grown = members | down[c]
             topological = _topological_order(grown, succ, pred)
             if topological is None:
                 # A cycle inside this image is a cycle inside every larger
                 # one; the whole subtree is dead.
                 continue
-            grown_generator = generator | class_mask[c]
+            grown_generator = generator | above[c] & down[c]
             yield grown, grown_generator, topological
             stack.append((c + 1, blocked | related[c], grown, grown_generator))
 

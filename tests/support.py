@@ -44,6 +44,15 @@ def example_three_chainish() -> DeclarativeProcess:
     return parse_process("activities a b c\nprec a b\nresp b c")
 
 
+def example_split_class(dead_pair: bool = False) -> DeclarativeProcess:
+    """a and c force each other, with b between them by index; images {}, {b},
+    {a,c}, {a,b,c}.  ``dead_pair`` adds x and y, which force each other in
+    both orders and so never occur."""
+    if dead_pair:
+        return parse_process("activities a b c x y\nprec c a\nresp c a\nsucc x y\nsucc y x")
+    return parse_process("activities a b c\nprec c a\nresp c a")
+
+
 def word(process: DeclarativeProcess, text: str) -> Trace:
     """Single-letter activity names joined into a trace, '' for the empty one."""
     return tuple(process.index_of(ch) for ch in text)

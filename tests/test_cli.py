@@ -223,6 +223,16 @@ class TestFailureModes:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # Some Windows editors start a UTF-8 file with a byte-order mark.
+        plain, marked = tmp_path / "plain.proc", tmp_path / "marked.proc"
+        plain.write_bytes(MIXED_THREE.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + MIXED_THREE.encode())
+        for command, out in (("count", "5\n"), ("possim", "{}\n{b}\n{a,b} b<a\n{a,b,c} b<a c<a\n")):
+            for path in (plain, marked):
+                assert main([command, str(path)]) == 0
+                assert capsys.readouterr() == (out, "")
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["not-a-command"])

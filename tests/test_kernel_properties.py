@@ -5,9 +5,10 @@ oracle, fixed-point closure, permutation filtering, or the textbook
 definition, on small random processes, relations and posets.  Trace counts
 are checked against the oracle's length histogram, against enumeration, and
 against a closed form.  The lazy generators are checked against the oracle
-and the lists, and for the memory they hold.  The ``possim`` command's
-bytes are checked against lines built from ``enumerate_possim`` and
-``hasse_pairs``.
+and the lists, and for the memory they hold.  The possim walk of each
+connected component is checked against the whole walk.  The ``possim``
+command's bytes are checked against lines built from ``enumerate_possim``
+and ``hasse_pairs``.
 """
 
 import contextlib
@@ -44,8 +45,16 @@ from decltrace import (
 )
 from decltrace.cli import main
 from decltrace.linext import _count, _extensions
+from decltrace.possim import PossimContext, _walk
 from decltrace.relations import _bits, _mask
-from support import KINDS, LETTERS, closure_by_iteration, compliant_permutations
+from decltrace.traces import _components
+from support import (
+    KINDS,
+    LETTERS,
+    closure_by_iteration,
+    compliant_permutations,
+    example_split_class,
+)
 
 MAX_N = 7
 
@@ -106,6 +115,9 @@ def image_posets(process) -> list[Poset]:
 
 
 @given(processes())
+# A mutual class {a, c} with b between its members, alone and beside a dead pair.
+@example(example_split_class())
+@example(example_split_class(dead_pair=True))
 def test_images_are_the_trace_images_of_the_oracle(process):
     images = [d.members for d in enumerate_possim(process)]
     assert len(images) == len(set(images))
@@ -323,6 +335,16 @@ def test_counts_by_length_match_the_oracle(process):
 @example(make_process("abc", [("succ", "a", "b"), ("succ", "b", "a")]))
 def test_counts_by_length_join_disjoint_processes(process):
     assert count_by_length(process) == length_histogram(process)
+
+
+@given(st.one_of(processes(), disjoint_unions()))
+@example(example_split_class(dead_pair=True))
+def test_component_walks_are_the_whole_walk_split(process):
+    ctx = PossimContext.of(process)
+    whole = [(members, generator) for members, generator, _ in _walk(ctx, (1 << process.n) - 1)]
+    for component in _components(process):
+        inside = [(m, g) for m, g, _ in _walk(ctx, component)]
+        assert sorted(inside) == sorted(image for image in whole if not image[0] & ~component)
 
 
 def test_count_equals_enumeration_on_the_acceptance_batch(instance_batch):

@@ -19,6 +19,7 @@ from support import (
     example_mixed_five,
     example_mixed_three,
     example_prec_six,
+    example_split_class,
     preorder_downsets,
     random_process,
 )
@@ -163,8 +164,8 @@ class TestEnumerate:
 
     def test_certified_fields(self):
         rng = random.Random(83)
-        for _ in range(60):
-            p = random_process(rng)
+        fixed = [example_split_class(), example_split_class(dead_pair=True)]
+        for p in [*fixed, *(random_process(rng) for _ in range(60))]:
             ctx = PossimContext.of(p)
             for downset in enumerate_possim(p):
                 assert downset.order == order_on_downset(ctx.process, downset.members)
