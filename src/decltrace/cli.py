@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse or validation error, 2 pipeline/oracle
-mismatch, 3 ground set too large for the oracle.
+Exit codes: 0 success, 1 parse or validation error or output that cannot
+be written, 2 pipeline/oracle mismatch, 3 ground set too large for the
+oracle.
 """
 
 from __future__ import annotations
@@ -197,17 +198,28 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_INVALID
     try:
         code = _run(args, process)
-        sys.stdout.flush()  # a closed reader shows up here, not at exit
+        sys.stdout.flush()  # a closed reader or a full disk shows up here, not at exit
     except BrokenPipeError:
         # The reader stopped early, as ``decltrace traces file | head`` does.
-        # Python flushes stdout again at exit, so point it at /dev/null.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return EXIT_INVALID
     return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout at /dev/null: Python flushes it again at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .model import DeclarativeProcess, expand_successors
+from .model import DeclarativeProcess
 # bench/tracing.py looks this name up on this module to wrap it in a timing
 # span, so it stays importable here although nothing here calls it.
 from .quotient import condense  # noqa: F401
@@ -53,7 +53,7 @@ class DownSet:
 
 @dataclass(frozen=True)
 class PossimContext:
-    """A successor-expanded process with its occurrence preorder and ordering graph."""
+    """A process with its occurrence preorder and ordering graph."""
 
     process: DeclarativeProcess
     occurrence: BinaryRelation
@@ -61,8 +61,7 @@ class PossimContext:
 
     @classmethod
     def of(cls, process: DeclarativeProcess) -> "PossimContext":
-        expanded = expand_successors(process)
-        return cls(expanded, implied_occurrence(expanded), order_preserving(expanded))
+        return cls(process, implied_occurrence(process), order_preserving(process))
 
 
 def max_elements(subset: Iterable[int], preorder: BinaryRelation) -> frozenset[int]:

@@ -135,23 +135,18 @@ def hasse_pairs(rel: BinaryRelation) -> list[tuple[int, int]]:
     return covers
 
 
-def _require_expanded(process: DeclarativeProcess) -> None:
-    if any(c.kind is ConstraintKind.SUCCESSOR for c in process.constraints):
-        raise ValueError("expand successor constraints first")
-
-
 def implied_occurrence(process: DeclarativeProcess) -> BinaryRelation:
     """The occurrence preorder: (a, b) present when b occurring forces a.
 
-    ``prec a b`` and ``resp b a`` both contribute the pair (a, b); the base
-    pairs are then closed reflexively and transitively.
+    ``prec a b`` and ``resp b a`` both contribute the pair (a, b), and
+    ``succ a b``, which is ``prec a b`` plus ``resp a b``, contributes
+    (a, b) and (b, a); the base pairs are then closed reflexively and transitively.
     """
-    _require_expanded(process)
     pairs = []
     for c in process.constraints:
-        if c.kind is ConstraintKind.PRECEDENCE:
+        if c.kind is not ConstraintKind.RESPONSE:
             pairs.append((c.source.index, c.target.index))
-        else:
+        if c.kind is not ConstraintKind.PRECEDENCE:
             pairs.append((c.target.index, c.source.index))
     return closure(BinaryRelation.from_pairs(process.n, pairs))
 
@@ -159,10 +154,10 @@ def implied_occurrence(process: DeclarativeProcess) -> BinaryRelation:
 def order_preserving(process: DeclarativeProcess) -> BinaryRelation:
     """Pairwise ordering obligations: (a, b) when a must precede b if both occur.
 
-    Deliberately not closed: transiting through an activity that does not
-    occur would manufacture ordering obligations that do not exist.
+    Every kind, ``succ`` included, contributes (source, target).  Deliberately
+    not closed: transiting through an activity that does not occur would
+    manufacture ordering obligations that do not exist.
     """
-    _require_expanded(process)
     pairs = [(c.source.index, c.target.index) for c in process.constraints]
     return BinaryRelation.from_pairs(process.n, pairs)
 

@@ -1,12 +1,15 @@
+import errno
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
 import decltrace.cli as cli
-from decltrace import make_process, traces
+from decltrace import DeclarativeProcess, make_process, traces
 from decltrace.cli import main
 
 MIXED_THREE = "activities a b c\nresp c a\nprec b a\n"
@@ -238,6 +241,46 @@ class TestFailureModes:
             main(["not-a-command"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("command", ["traces", "count", "possim", "classify", "check"])
+    def test_closed_stdout_exits_one(self, proc_file, capsys, monkeypatch, command):
+        path = proc_file(MIXED_THREE)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["traces", "count", "possim", "classify", "check"])
+    def test_full_disk_exits_one(self, proc_file, tmp_path, capsys, monkeypatch, command):
+        class FullDisk(io.TextIOWrapper):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = proc_file(MIXED_THREE)
+        # Backed by a real file, as stdout is, so its descriptor can be redirected.
+        with FullDisk(open(tmp_path / "stdout", "wb")) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main([command, path]) == 1
+            monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    def test_one_process_per_run(self, proc_file, monkeypatch):
+        # The parse builds the only process; the pipeline reads succ as it is.
+        built = []
+        validate = DeclarativeProcess.__post_init__
+
+        def counting(process):
+            built.append(process)
+            validate(process)
+
+        path = proc_file(SPLIT_FOUR)
+        monkeypatch.setattr(DeclarativeProcess, "__post_init__", counting)
+        for command in (["traces"], ["count"], ["count", "--by-length"], ["possim"]):
+            built.clear()
+            assert main(command + [path]) == 0
+            assert len(built) == 1
+
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "p.proc"
@@ -249,6 +292,22 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "5\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_writing_into_a_full_device_exits_one_quietly(tmp_path):
+    path = tmp_path / "p.proc"
+    path.write_text(MIXED_THREE, encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "decltrace", "traces", str(path)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 def test_early_close_of_stdout_exits_zero_quietly(tmp_path):

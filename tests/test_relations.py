@@ -5,6 +5,7 @@ import pytest
 from decltrace import (
     BinaryRelation,
     closure,
+    expand_successors,
     hasse_pairs,
     implied_occurrence,
     is_antisymmetric,
@@ -131,9 +132,17 @@ class TestImpliedOccurrence:
             p = random_process(rng, kinds=("prec", "resp"))
             assert is_preorder(implied_occurrence(p))
 
-    def test_rejects_unexpanded_successors(self):
-        with pytest.raises(ValueError, match="expand"):
-            implied_occurrence(make_process("ab", [("succ", "a", "b")]))
+    def test_successors_read_as_their_expansion(self):
+        # ``succ a b`` is ``prec a b`` plus ``resp a b`` in both relations.
+        rng = random.Random(41)
+        with_successors = 0
+        for _ in range(400):
+            p = random_process(rng, max_n=8)
+            expanded = expand_successors(p)
+            with_successors += expanded != p
+            assert implied_occurrence(p) == implied_occurrence(expanded)
+            assert order_preserving(p) == order_preserving(expanded)
+        assert with_successors >= 200
 
 
 class TestOrderPreserving:
