@@ -7,10 +7,14 @@ graph on it, in lexicographic order.  So a heap merge of the extension
 generators of one size gives that size's traces in order, with no global
 sort and no trace held longer than it takes to emit.
 
-Counting splits the activities into the connected components of the
-constraint graph.  Components share no constraint, so every trace is a
-shuffle of one trace per component, and the per-length counts of the
-components, each walked on its own, join by binomial convolution.
+Counting walks no image.  It splits the activities into the connected
+components of the constraint graph.  Components share no constraint, so
+every trace is a shuffle of one trace per component, and the per-length
+counts of the components join by binomial convolution; the activities in no
+constraint join in one step, as partial permutations.  A component is
+counted by a forward DP over the sets of activities placed so far, one layer
+per size, keeping only live sets: those that some trace can still complete.
+Each prefix state is counted once, not once per image that holds it.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from itertools import groupby
 from math import comb
 from typing import Iterator
 
-from .linext import _count, _extensions
+from .linext import _extensions
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
-from .possim import PossimContext, _walk
+from .possim import PossimContext, _topological_order, _walk
 from .quotient import condense
 from .relations import _bits, implied_occurrence
 
@@ -134,21 +138,128 @@ def _shuffle_counts(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _partial_permutations(m: int) -> list[int]:
+    """Per-length counts of the traces of m unconstrained activities: m!/(m-k)!."""
+    counts = [1]
+    for k in range(m):
+        counts.append(counts[-1] * (m - k))
+    return counts
+
+
+def _graphs(process: DeclarativeProcess) -> tuple[list[int], ...]:
+    """The rows the placed-set DP reads, built once per process.
+
+    Returns (need, needed_by, forces, succ, pred).  ``need[x]``: the
+    ``prec``/``succ`` sources of x, which must be placed before x.
+    ``needed_by[x]``: the activities x is such a source of.  ``forces[x]``:
+    what x occurring forces directly, its ``need`` and its ``resp``/``succ``
+    targets; closed, these rows are the occurrence preorder read downwards.
+    ``succ`` and ``pred``: the rows and columns of the ordering graph, one
+    edge per constraint.
+    """
+    need, needed_by, forces, succ, pred = rows = tuple([0] * process.n for _ in range(5))
+    for c in process.constraints:
+        a, b = c.source.index, c.target.index
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+        if c.kind is not ConstraintKind.RESPONSE:
+            need[b] |= 1 << a
+            needed_by[a] |= 1 << b
+            forces[b] |= 1 << a
+        if c.kind is not ConstraintKind.PRECEDENCE:
+            forces[a] |= 1 << b
+    return rows
+
+
+def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int, list]]:
+    """The live placed sets inside ``component``, one layer per size.
+
+    Each layer maps a placed set T (a mask) to [ways, D, placeable]: the
+    number of valid orderings of T, the set D that T forces, and the
+    activities that may be placed next.  Placing x needs every ``need[x]``
+    placed and no ordering successor of x placed.  T is live, that is some
+    trace extends an ordering of T, exactly when no ordering edge enters T
+    from D outside T and the ordering graph on D is acyclic.  Dead sets are
+    dropped, so every set kept is a down-set of the order on the image D.
+    """
+    need, needed_by, forces, succ, pred = graphs
+    start = 0
+    for x in _bits(component):
+        if not need[x]:
+            start |= 1 << x
+    acyclic: dict[int, bool] = {}
+    layer: dict[int, list] = {0: [1, 0, start]}
+    while layer:
+        yield layer
+        grown: dict[int, list | None] = {}
+        for placed, (ways, forced, placeable) in layer.items():
+            left = placeable
+            while left:
+                bit = left & -left
+                left ^= bit
+                now = placed | bit
+                if now in grown:
+                    state = grown[now]
+                    if state is not None:
+                        state[0] += ways
+                    continue
+                x = bit.bit_length() - 1
+                # Grow D by what x forces that T did not, and check that no
+                # edge leaves the new part for T + x.
+                fresh = bit & ~forced
+                now_forced = forced | fresh
+                live = True
+                while fresh and live:
+                    reached = 0
+                    for y in _bits(fresh):
+                        if succ[y] & now:
+                            live = False
+                            break
+                        reached |= forces[y]
+                    fresh = reached & ~now_forced
+                    now_forced |= fresh
+                waiting = now_forced & ~now
+                live = live and not pred[x] & waiting
+                if live and waiting and now_forced != forced:
+                    # With no edge from D - T into T, a cycle of D lies in
+                    # D - T, since T has a valid order; so the answer is D's.
+                    live = acyclic.get(now_forced)
+                    if live is None:
+                        live = _topological_order(waiting, succ, pred) is not None
+                        acyclic[now_forced] = live
+                if not live:
+                    grown[now] = None
+                    continue
+                now_placeable = placeable & ~bit & ~pred[x]
+                for y in _bits(needed_by[x]):
+                    if not need[y] & ~now and not succ[y] & now:
+                        now_placeable |= 1 << y
+                grown[now] = [ways, now_forced, now_placeable]
+        layer = {placed: state for placed, state in grown.items() if state is not None}
+
+
 def count_by_length(process: DeclarativeProcess) -> list[int]:
     """Number of traces of each length, from 0 to the longest trace.
 
-    Each connected component of the constraint graph is counted on its own,
-    over the images the walk finds inside it (the empty one included), and
-    the counts are joined by binomial convolution.
+    Activities in no constraint join in one step, as partial permutations.
+    Each other connected component of the constraint graph is counted by a
+    forward DP over its live placed sets (``_layers``): a placed set T
+    finishes a trace when it holds everything it forces.  The counts are
+    joined by binomial convolution.
     """
-    ctx = PossimContext.of(process)
-    total = [1]
-    for component in _components(process):
+    graphs = _graphs(process)
+    components = _components(process)
+    total = _partial_permutations(sum(c.bit_count() == 1 for c in components))
+    for component in components:
+        if component.bit_count() == 1:
+            continue
         counts: list[int] = []
-        for members, _, _ in _walk(ctx, component):
-            size = members.bit_count()
-            counts.extend([0] * (size + 1 - len(counts)))
-            counts[size] += _count(members, ctx.ordering.rows)
+        for layer in _layers(component, graphs):
+            for placed, (ways, forced, _) in layer.items():
+                if forced == placed:
+                    size = placed.bit_count()
+                    counts.extend([0] * (size + 1 - len(counts)))
+                    counts[size] += ways
         total = _shuffle_counts(total, counts)
     return total
 

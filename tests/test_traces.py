@@ -22,6 +22,9 @@ from decltrace import (
     traces_response_only,
     traces_successor_only,
 )
+from decltrace.possim import PossimContext, _walk
+from decltrace.relations import _bits
+from decltrace.traces import _components, _graphs, _layers
 from support import (
     KINDS,
     example_mixed_five,
@@ -156,9 +159,10 @@ class TestDispatchAndCounting:
 
     def test_counts_by_length_are_the_extension_counts_of_the_images(self):
         # The paper's characterization, past the oracle's range: the traces of
-        # length L are the linear extensions of the images of size L.  This
-        # compares the per-component walk, the graph DP and the convolution
-        # with the whole-process walk and the closed-order DP.
+        # length L are the linear extensions of the images of size L.  Two
+        # different algorithms: the per-component DP over live placed sets,
+        # joined by convolution, against the whole-process image walk with a
+        # closed-order DP per image.
         rng = random.Random(149)
         names = [f"a{i}" for i in range(12)]
 
@@ -222,3 +226,71 @@ class TestDispatchAndCounting:
             maximum_image(example_mixed_three())
         with pytest.raises(ValueError):
             maximum_image(make_process("ab", [("succ", "a", "b")]))
+
+
+def _downset_count(members: int, rows) -> int:
+    """Down-sets of the order the graph ``rows`` generates on ``members``,
+    found by peeling maximal elements as the per-image count DP does."""
+    seen = layer = {members}
+    while layer:
+        layer = {
+            mask & ~(1 << x)
+            for mask in layer
+            for x in _bits(mask)
+            if not rows[x] & mask & ~(1 << x)
+        }
+        seen = seen | layer
+    return len(seen)
+
+
+class TestPlacedSetDP:
+    def test_dead_states_are_never_kept(self):
+        # Placing any x_i forces y, which lies on a cycle with z, so every
+        # one-activity set is dead and none of the 2^20 sets of x's is reached.
+        k = 20
+        names = [f"x{i}" for i in range(k)] + ["y", "z"]
+        drawn = [("resp", f"x{i}", "y") for i in range(k)] + [("prec", "y", "z"), ("prec", "z", "y")]
+        p = make_process(names, drawn)
+        graphs = _graphs(p)
+        kept = [placed for c in _components(p) for layer in _layers(c, graphs) for placed in layer]
+        assert kept == [0]
+        assert count_by_length(p) == [1]
+
+    def test_a_live_activity_can_still_make_a_dead_set(self):
+        # {a, c} is dead: a forces b, which must come before c.
+        p = make_process("abc", [("resp", "a", "b"), ("resp", "b", "c")])
+        graphs = _graphs(p)
+        (component,) = _components(p)
+        assert 0b101 not in {placed for layer in _layers(component, graphs) for placed in layer}
+        assert count_by_length(p) == [1, 1, 1, 1]
+
+    def test_states_are_down_sets_of_images(self):
+        # Each kept set T is a down-set of the order on the image D it
+        # forces, so the DP keeps no more states than the per-image DPs
+        # visit in total.
+        rng = random.Random(163)
+        names = [f"a{i}" for i in range(9)]
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 2 * n))]
+            p = make_process(names[:n], [(rng.choice(KINDS), names[i], names[j]) for i, j in pairs])
+            ctx = PossimContext.of(p)
+            rows = ctx.ordering.rows
+            graphs = _graphs(p)
+            for component in _components(p):
+                images = [members for members, _, _ in _walk(ctx, component)]
+                states = 0
+                for size, layer in enumerate(_layers(component, graphs)):
+                    for placed, (ways, forced, _) in layer.items():
+                        assert placed.bit_count() == size and ways > 0
+                        assert forced in images
+                        assert not any(rows[y] & placed for y in _bits(forced & ~placed))
+                    states += len(layer)
+                assert states <= sum(_downset_count(m, rows) for m in images)
+
+    def test_long_chain_has_one_trace_per_length(self):
+        n = 2000
+        names = [f"a{i}" for i in range(n)]
+        p = make_process(names, [("prec", names[i], names[i + 1]) for i in range(n - 1)])
+        assert count_by_length(p) == [1] * (n + 1)
+        assert count_traces(p) == n + 1
