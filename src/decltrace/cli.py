@@ -124,7 +124,7 @@ def _run_possim(process: DeclarativeProcess) -> int:
     # Each image is formatted as the walk finds it; only its sort key, the
     # order of enumerate_possim, and its line are kept.
     found = []
-    for members, _, topological in _walk(ctx, (1 << n) - 1):
+    for members, _, topological in _walk(ctx):
         elements = sorted(topological)  # the members, ascending
         line = "{" + ",".join([names[i] for i in elements]) + "}"
         covers = _covers(n, members, topological, succ)

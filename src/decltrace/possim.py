@@ -140,25 +140,14 @@ def _topological_order(members: int, succ: list[int], pred: list[int]) -> list[i
     return order if len(order) == members.bit_count() else None
 
 
-def _closed_order(n: int, members: int, topological: list[int], succ: list[int]) -> BinaryRelation:
-    """Reflexive transitive closure of ``succ`` on ``members``, sinks first."""
-    rows = [0] * n
-    for v in reversed(topological):
-        row = 1 << v
-        for w in _bits(succ[v] & members):
-            row |= rows[w]
-        rows[v] = row
-    return BinaryRelation(n, tuple(rows), members)
-
-
 def _covers(n: int, members: int, topological: list[int], succ: list[int]) -> list[tuple[int, int]]:
     """Cover pairs of the order ``succ`` induces on ``members``, by index.
 
     They are the transitive reduction of the acyclic graph on ``members``
     (Aho, Garey & Ullman 1972): the direct successors of each element that
-    no other direct successor reaches.  The same sinks-first pass as
-    ``_closed_order``, with strict reach; ``hasse_pairs`` of that order
-    gives the same list.
+    no other direct successor reaches, found in one sinks-first pass of
+    strict reach; ``hasse_pairs`` of the closed order on ``members`` gives
+    the same list.
     """
     reach = [0] * n
     upper = [0] * n  # the elements that cover v
@@ -172,26 +161,25 @@ def _covers(n: int, members: int, topological: list[int], succ: list[int]) -> li
     return [(v, w) for v in sorted(topological) if upper[v] for w in _bits(upper[v])]
 
 
-def _walk(ctx: PossimContext, activities: int) -> Iterator[tuple[int, int, list[int]]]:
-    """Every image inside ``activities``, the empty image first.
+def _walk(ctx: PossimContext) -> Iterator[tuple[int, int, list[int]]]:
+    """Every image, the empty image first.
 
-    ``activities`` is a mask closed under the constraints, such as all
-    activities or one connected component.  Yields (members, generator,
-    topological order): two activity masks, and a topological sort of the
-    ordering graph on the members.  The model rejects self-constraints, so
-    ``ctx.ordering.rows`` is already strict.
+    Yields (members, generator, topological order): two activity masks, and
+    a topological sort of the ordering graph on the members.  The model
+    rejects self-constraints, so ``ctx.ordering.rows`` is already strict.
     """
     above = ctx.occurrence.rows  # above[a]: what forces a, a included
     succ = ctx.ordering.rows
-    down = [0] * ctx.ordering.n  # down[a]: what a forces, a included
-    pred = [0] * ctx.ordering.n
-    for a in _bits(activities):
+    n = ctx.ordering.n
+    down = [0] * n  # down[a]: what a forces, a included
+    pred = [0] * n
+    for a in range(n):
         for b in _bits(above[a]):
             down[b] |= 1 << a
         for w in _bits(succ[a]):
             pred[w] |= 1 << a
     # The class of a is above[a] & down[a]; reps holds each class's smallest member.
-    reps = sum(1 << a for a in _bits(activities) if not above[a] & down[a] & ((1 << a) - 1))
+    reps = sum(1 << a for a in range(n) if not above[a] & down[a] & ((1 << a) - 1))
     related = {a: (above[a] | down[a]) & reps for a in _bits(reps)}
     yield 0, 0, []
     # Each entry is an antichain of classes, as reps: the first rep that may
@@ -218,14 +206,10 @@ def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
     present and comes first.
     """
     ctx = PossimContext.of(process)
-    n = ctx.ordering.n
-    found = [
-        DownSet(
-            frozenset(_bits(members)),
-            _closed_order(n, members, topological, ctx.ordering.rows),
-            frozenset(_bits(generator)),
-        )
-        for members, generator, topological in _walk(ctx, (1 << n) - 1)
-    ]
+    found = []
+    for members, generator, _ in _walk(ctx):
+        elements = frozenset(_bits(members))
+        order = closure(restrict(ctx.ordering, elements))
+        found.append(DownSet(elements, order, frozenset(_bits(generator))))
     found.sort(key=lambda downset: (len(downset.members), sorted(downset.members)))
     return found

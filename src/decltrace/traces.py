@@ -1,32 +1,31 @@
 """Trace-set assembly.
 
 Every trace is a linear extension of exactly one realizable image, and an
-image of size L yields traces of length L only.  The possim walk gives each
-image as a mask; its extensions are the topological orders of the ordering
-graph on it, in lexicographic order.  So a heap merge of the extension
-generators of one size gives that size's traces in order, with no global
-sort and no trace held longer than it takes to emit.
+image of size L yields traces of length L only.  Enumeration and counting
+both run a forward pass over the sets of activities placed so far
+(``_layers``), one layer per size, keeping only live sets: those that some
+trace can still complete.  The live sets that hold everything they force
+are the images.  An image's extensions are the topological orders of the
+ordering graph on it, in lexicographic order, so a heap merge of the
+extension generators of one layer's images gives that length's traces in
+order, with no global sort and no trace held longer than it takes to emit.
 
-Counting walks no image.  It splits the activities into the connected
-components of the constraint graph.  Components share no constraint, so
-every trace is a shuffle of one trace per component, and the per-length
-counts of the components join by binomial convolution; the activities in no
-constraint join in one step, as partial permutations.  A component is
-counted by a forward DP over the sets of activities placed so far, one layer
-per size, keeping only live sets: those that some trace can still complete.
+Counting runs one pass per connected component of the constraint graph.
+Components share no constraint, so every trace is a shuffle of one trace
+per component, and the per-length counts join by binomial convolution; the
+activities in no constraint join in one step, as partial permutations.
 Each prefix state is counted once, not once per image that holds it.
 """
 
 from __future__ import annotations
 
 from heapq import merge
-from itertools import groupby
 from math import comb
 from typing import Iterator
 
 from .linext import _extensions
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
-from .possim import PossimContext, _topological_order, _walk
+from .possim import _topological_order
 from .quotient import condense
 from .relations import _bits, implied_occurrence
 
@@ -44,15 +43,16 @@ def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) 
 def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     """Every trace, sorted by length then activity index, one at a time.
 
-    Memory is bounded by the images of the process, not by its traces: the
-    extensions of the images of one size are generated together and merged.
+    Memory follows one layer of live placed sets plus one extension
+    generator per image of that size, not the number of traces.
     """
-    ctx = PossimContext.of(process)
-    everything = (1 << process.n) - 1
-    images = sorted((members for members, _, _ in _walk(ctx, everything)), key=int.bit_count)
-    # Within one size the images may come in any order: no trace has two.
-    for _, same_size in groupby(images, key=int.bit_count):
-        yield from merge(*(_extensions(members, ctx.ordering.rows) for members in same_size))
+    graphs = _graphs(process)
+    succ = graphs[3]
+    for layer in _layers((1 << process.n) - 1, graphs):
+        # The finished sets are this size's images.  They may come in any
+        # order: no trace has two.
+        images = [placed for placed, (_, forced, _) in layer.items() if forced == placed]
+        yield from merge(*(_extensions(image, succ) for image in images))
 
 
 def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
@@ -103,20 +103,18 @@ def traces_successor_only(process: DeclarativeProcess) -> list[Trace]:
     return traces_general(process)
 
 
-def _components(process: DeclarativeProcess) -> list[int]:
-    """Activity masks of the connected components of the constraint graph."""
-    adjacent = [1 << i for i in range(process.n)]
-    for c in process.constraints:
-        adjacent[c.source.index] |= 1 << c.target.index
-        adjacent[c.target.index] |= 1 << c.source.index
+def _components(graphs: tuple[list[int], ...]) -> list[int]:
+    """Activity masks of the connected components of the constraint graph,
+    read from the ordering rows and columns of ``_graphs``."""
+    succ, pred = graphs[3], graphs[4]
     out = []
-    left = (1 << process.n) - 1
+    left = (1 << len(succ)) - 1
     while left:
         reached = frontier = left & -left
         while frontier:
             grown = 0
             for v in _bits(frontier):
-                grown |= adjacent[v]
+                grown |= succ[v] | pred[v]
             frontier = grown & ~reached
             reached |= frontier
         out.append(reached)
@@ -174,13 +172,16 @@ def _graphs(process: DeclarativeProcess) -> tuple[list[int], ...]:
 def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int, list]]:
     """The live placed sets inside ``component``, one layer per size.
 
-    Each layer maps a placed set T (a mask) to [ways, D, placeable]: the
-    number of valid orderings of T, the set D that T forces, and the
-    activities that may be placed next.  Placing x needs every ``need[x]``
-    placed and no ordering successor of x placed.  T is live, that is some
-    trace extends an ordering of T, exactly when no ordering edge enters T
-    from D outside T and the ordering graph on D is acyclic.  Dead sets are
-    dropped, so every set kept is a down-set of the order on the image D.
+    ``component`` is a mask closed under the constraints, such as all
+    activities or one connected component.  Each layer maps a placed set T
+    (a mask) to [ways, D, placeable]: the number of valid orderings of T,
+    the set D that T forces, and the activities that may be placed next.
+    Placing x needs every ``need[x]`` placed and no ordering successor of x
+    placed.  T is live, that is some trace extends an ordering of T,
+    exactly when no ordering edge enters T from D outside T and the
+    ordering graph on D is acyclic.  Dead sets are dropped, so every set
+    kept is a down-set of the order on the image D, and the sets with
+    T = D are the images inside ``component``.
     """
     need, needed_by, forces, succ, pred = graphs
     start = 0
@@ -248,7 +249,7 @@ def count_by_length(process: DeclarativeProcess) -> list[int]:
     joined by binomial convolution.
     """
     graphs = _graphs(process)
-    components = _components(process)
+    components = _components(graphs)
     total = _partial_permutations(sum(c.bit_count() == 1 for c in components))
     for component in components:
         if component.bit_count() == 1:

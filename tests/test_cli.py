@@ -11,6 +11,7 @@ import pytest
 import decltrace.cli as cli
 from decltrace import DeclarativeProcess, make_process, traces
 from decltrace.cli import main
+from decltrace.possim import PossimContext
 
 MIXED_THREE = "activities a b c\nresp c a\nprec b a\n"
 MIXED_FIVE = (
@@ -69,6 +70,24 @@ class TestTraces:
         plain = capsys.readouterr().out
         assert main(["traces", "--parallel", proc_file(MIXED_FIVE)]) == 0
         assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize(
+        "command, contexts",
+        [(["traces"], 0), (["traces", "--format", "json"], 0), (["possim"], 1)],
+    )
+    def test_only_possim_builds_a_possim_context(self, proc_file, monkeypatch, command, contexts):
+        # traces reads its images from the placed-set pass; only possim walks.
+        built = []
+        build = PossimContext.of.__func__
+
+        def counting(cls, process):
+            built.append(process)
+            return build(cls, process)
+
+        path = proc_file(MIXED_FIVE)
+        monkeypatch.setattr(PossimContext, "of", classmethod(counting))
+        assert main(command + [path]) == 0
+        assert len(built) == contexts
 
 
 class TestCount:

@@ -5,16 +5,17 @@ oracle, fixed-point closure, permutation filtering, or the textbook
 definition, on small random processes, relations and posets.  Trace counts
 are checked against the oracle's length histogram, against enumeration, and
 against a closed form.  The lazy generators are checked against the oracle
-and the lists, and for the memory they hold.  The possim walk of each
-connected component is checked against the whole walk.  The ``possim``
-command's bytes are checked against lines built from ``enumerate_possim``
-and ``hasse_pairs``.
+and the lists, and for the memory they hold.  The finished sets of the
+placed-set pass are checked against the possim walk's images.  The
+``possim`` command's bytes are checked against lines built from
+``enumerate_possim`` and ``hasse_pairs``.
 """
 
 import contextlib
 import io
 import tempfile
 import tracemalloc
+from itertools import islice, permutations
 from math import factorial
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from decltrace.cli import main
 from decltrace.linext import _count, _extensions
 from decltrace.possim import PossimContext, _walk
 from decltrace.relations import _bits, _mask
-from decltrace.traces import _components
+from decltrace.traces import _graphs, _layers
 from support import (
     KINDS,
     LETTERS,
@@ -181,8 +182,8 @@ def test_lazy_traces_are_the_oracle_traces(kinds, data):
 
 def test_lazy_traces_hold_no_trace_list():
     # 8 unconstrained activities: 109,601 traces from 256 images.  As a list
-    # the traces take about 10 MiB; streamed, only the images and one
-    # extension generator per image of the current size stay alive.
+    # the traces take about 10 MiB; streamed, only one layer of placed sets
+    # and one extension generator per image of the current size stay alive.
     process = make_process([f"a{i}" for i in range(8)])
     tracemalloc.start()
     try:
@@ -192,6 +193,14 @@ def test_lazy_traces_hold_no_trace_list():
         tracemalloc.stop()
     assert emitted == 109_601
     assert peak < 2 << 20
+
+
+def test_short_traces_come_before_the_long_images_are_found():
+    # 60 unconstrained activities have 2^60 images, but the 3601 traces of
+    # length at most 2 need only the placed sets of size at most 2.
+    process = make_process([f"a{i}" for i in range(60)])
+    expected = [t for k in range(3) for t in permutations(range(60), k)]
+    assert list(islice(iter_traces(process), 3601)) == expected
 
 
 @st.composite
@@ -339,12 +348,18 @@ def test_counts_by_length_join_disjoint_processes(process):
 
 @given(st.one_of(processes(), disjoint_unions()))
 @example(example_split_class(dead_pair=True))
-def test_component_walks_are_the_whole_walk_split(process):
-    ctx = PossimContext.of(process)
-    whole = [(members, generator) for members, generator, _ in _walk(ctx, (1 << process.n) - 1)]
-    for component in _components(process):
-        inside = [(m, g) for m, g, _ in _walk(ctx, component)]
-        assert sorted(inside) == sorted(image for image in whole if not image[0] & ~component)
+# A succ star: two images, but every set of leaves placed after the centre is live.
+@example(make_process("abcd", [("succ", "a", "b"), ("succ", "a", "c"), ("succ", "a", "d")]))
+def test_finished_placed_sets_are_the_walk_images(process):
+    finished = [
+        placed
+        for layer in _layers((1 << process.n) - 1, _graphs(process))
+        for placed, (_, forced, _) in layer.items()
+        if forced == placed
+    ]
+    images = [members for members, _, _ in _walk(PossimContext.of(process))]
+    assert sorted(finished) == sorted(images)
+    assert [m.bit_count() for m in finished] == sorted(m.bit_count() for m in images)
 
 
 def test_count_equals_enumeration_on_the_acceptance_batch(instance_batch):

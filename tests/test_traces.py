@@ -252,7 +252,7 @@ class TestPlacedSetDP:
         drawn = [("resp", f"x{i}", "y") for i in range(k)] + [("prec", "y", "z"), ("prec", "z", "y")]
         p = make_process(names, drawn)
         graphs = _graphs(p)
-        kept = [placed for c in _components(p) for layer in _layers(c, graphs) for placed in layer]
+        kept = [placed for c in _components(graphs) for layer in _layers(c, graphs) for placed in layer]
         assert kept == [0]
         assert count_by_length(p) == [1]
 
@@ -260,7 +260,7 @@ class TestPlacedSetDP:
         # {a, c} is dead: a forces b, which must come before c.
         p = make_process("abc", [("resp", "a", "b"), ("resp", "b", "c")])
         graphs = _graphs(p)
-        (component,) = _components(p)
+        (component,) = _components(graphs)
         assert 0b101 not in {placed for layer in _layers(component, graphs) for placed in layer}
         assert count_by_length(p) == [1, 1, 1, 1]
 
@@ -276,9 +276,10 @@ class TestPlacedSetDP:
             p = make_process(names[:n], [(rng.choice(KINDS), names[i], names[j]) for i, j in pairs])
             ctx = PossimContext.of(p)
             rows = ctx.ordering.rows
+            whole = [members for members, _, _ in _walk(ctx)]
             graphs = _graphs(p)
-            for component in _components(p):
-                images = [members for members, _, _ in _walk(ctx, component)]
+            for component in _components(graphs):
+                images = {members & component for members in whole}
                 states = 0
                 for size, layer in enumerate(_layers(component, graphs)):
                     for placed, (ways, forced, _) in layer.items():
