@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .model import DeclarativeProcess, ParseError, Trace, classify, parse_process, satisfies
 from .oracle import SizeLimitError, brute_force_traces
-from .possim import PossimContext, _covers, _walk
+from .possim import _covers, _walk
+from .relations import _bits, _graphs
 from .traces import count_by_length, count_traces, iter_traces, traces
 
 # bench/tracing.py looks this name up on this module to wrap it in a timing
@@ -118,18 +119,15 @@ def _run_traces(process: DeclarativeProcess, fmt: str) -> int:
 
 def _run_possim(process: DeclarativeProcess) -> int:
     names = process.names()
-    ctx = PossimContext.of(process)
-    n = ctx.ordering.n
-    succ = ctx.ordering.rows
+    graphs = _graphs(process)
     # Each image is formatted as the walk finds it; only its sort key, the
     # order of enumerate_possim, and its line are kept.
     found = []
-    for members, _, topological in _walk(ctx):
+    for members, _, topological in _walk(graphs):
         elements = sorted(topological)  # the members, ascending
-        line = "{" + ",".join([names[i] for i in elements]) + "}"
-        covers = _covers(n, members, topological, succ)
-        if covers:
-            line += " " + " ".join([f"{names[i]}<{names[j]}" for i, j in covers])
+        _, upper = _covers(members, topological, graphs[3])
+        covers = [f" {names[v]}<{names[w]}" for v in elements if upper[v] for w in _bits(upper[v])]
+        line = "{" + ",".join([names[i] for i in elements]) + "}" + "".join(covers)
         found.append(((len(elements), elements), line))
     found.sort()  # the keys are distinct, so lines are never compared
     write = sys.stdout.write

@@ -22,11 +22,13 @@ from .quotient import condense  # noqa: F401
 from .relations import (
     BinaryRelation,
     _bits,
+    _graphs,
     closure,
     implied_occurrence,
     is_antisymmetric,
     order_preserving,
     restrict,
+    transpose,
 )
 
 
@@ -53,7 +55,7 @@ class DownSet:
 
 @dataclass(frozen=True)
 class PossimContext:
-    """A process with its occurrence preorder and ordering graph."""
+    """A process with its occurrence preorder and ordering graph, for ``is_independent``."""
 
     process: DeclarativeProcess
     occurrence: BinaryRelation
@@ -140,17 +142,17 @@ def _topological_order(members: int, succ: list[int], pred: list[int]) -> list[i
     return order if len(order) == members.bit_count() else None
 
 
-def _covers(n: int, members: int, topological: list[int], succ: list[int]) -> list[tuple[int, int]]:
-    """Cover pairs of the order ``succ`` induces on ``members``, by index.
+def _covers(members: int, topological: list[int], succ: list[int]) -> tuple[list[int], list[int]]:
+    """Strict reach and cover rows of the order ``succ`` induces on ``members``.
 
-    They are the transitive reduction of the acyclic graph on ``members``
-    (Aho, Garey & Ullman 1972): the direct successors of each element that
-    no other direct successor reaches, found in one sinks-first pass of
-    strict reach; ``hasse_pairs`` of the closed order on ``members`` gives
-    the same list.
+    One sinks-first pass along ``topological``: ``reach[v]`` is all strictly
+    above v, and ``upper[v]`` what covers v, the direct successors of v that
+    no other reaches: the transitive reduction of the acyclic graph (Aho,
+    Garey & Ullman 1972), as ``hasse_pairs`` of the closed order would give.
+    Rows outside ``members`` are 0.
     """
-    reach = [0] * n
-    upper = [0] * n  # the elements that cover v
+    reach = [0] * len(succ)
+    upper = [0] * len(succ)
     for v in reversed(topological):
         direct = succ[v] & members
         beyond = 0
@@ -158,26 +160,22 @@ def _covers(n: int, members: int, topological: list[int], succ: list[int]) -> li
             beyond |= reach[w]
         reach[v] = direct | beyond
         upper[v] = direct & ~beyond
-    return [(v, w) for v in sorted(topological) if upper[v] for w in _bits(upper[v])]
+    return reach, upper
 
 
-def _walk(ctx: PossimContext) -> Iterator[tuple[int, int, list[int]]]:
+def _walk(graphs: tuple[list[int], ...]) -> Iterator[tuple[int, int, list[int]]]:
     """Every image, the empty image first.
 
-    Yields (members, generator, topological order): two activity masks, and
-    a topological sort of the ordering graph on the members.  The model
-    rejects self-constraints, so ``ctx.ordering.rows`` is already strict.
+    ``graphs`` are the rows of ``relations._graphs``.  Yields (members,
+    generator, topological order): two activity masks, and a topological
+    sort of the ordering graph on the members.  The model rejects
+    self-constraints, so the ``succ`` rows are already strict.
     """
-    above = ctx.occurrence.rows  # above[a]: what forces a, a included
-    succ = ctx.ordering.rows
-    n = ctx.ordering.n
-    down = [0] * n  # down[a]: what a forces, a included
-    pred = [0] * n
-    for a in range(n):
-        for b in _bits(above[a]):
-            down[b] |= 1 << a
-        for w in _bits(succ[a]):
-            pred[w] |= 1 << a
+    _, _, forces, succ, pred = graphs
+    n = len(succ)
+    forcing = BinaryRelation(n, tuple(forces), (1 << n) - 1)
+    down = closure(forcing).rows  # down[a]: what a forces, a included
+    above = closure(transpose(forcing)).rows  # above[a]: what forces a, a included
     # The class of a is above[a] & down[a]; reps holds each class's smallest member.
     reps = sum(1 << a for a in range(n) if not above[a] & down[a] & ((1 << a) - 1))
     related = {a: (above[a] | down[a]) & reps for a in _bits(reps)}
@@ -203,13 +201,16 @@ def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
     """All realizable trace images, each exactly once.
 
     Output is sorted by (size, member indices); the empty image is always
-    present and comes first.
+    present and comes first.  An image's order is its ``_covers`` reach, made reflexive.
     """
-    ctx = PossimContext.of(process)
+    graphs = _graphs(process)
+    n, succ = process.n, graphs[3]
     found = []
-    for members, generator, _ in _walk(ctx):
-        elements = frozenset(_bits(members))
-        order = closure(restrict(ctx.ordering, elements))
-        found.append(DownSet(elements, order, frozenset(_bits(generator))))
+    for members, generator, topological in _walk(graphs):
+        reach, _ = _covers(members, topological, succ)
+        for v in topological:
+            reach[v] |= 1 << v
+        order = BinaryRelation(n, tuple(reach), members)
+        found.append(DownSet(frozenset(topological), order, frozenset(_bits(generator))))
     found.sort(key=lambda downset: (len(downset.members), sorted(downset.members)))
     return found

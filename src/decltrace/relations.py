@@ -5,6 +5,9 @@ Relations are stored as one integer bitmask per row: bit j of ``rows[i]``
 means (i, j) is related.  A relation also carries a ``members`` mask naming
 the ground subset it currently lives on, so restrictions keep global
 indexing instead of renumbering.
+
+``_graphs`` alone turns constraint kinds into edges: the occurrence and
+ordering relations, the possim walk and the placed-set pass read its rows.
 """
 
 from __future__ import annotations
@@ -135,31 +138,51 @@ def hasse_pairs(rel: BinaryRelation) -> list[tuple[int, int]]:
     return covers
 
 
+def _graphs(process: DeclarativeProcess) -> tuple[list[int], ...]:
+    """The edges of a constraint set, as rows, built once per process.
+
+    Returns (need, needed_by, forces, succ, pred).  ``need[x]``: the
+    ``prec``/``succ`` sources of x, which must be placed before x.
+    ``needed_by[x]``: the activities x is such a source of.  ``forces[x]``:
+    what x occurring forces directly, its ``need`` and its ``resp``/``succ``
+    targets; closed, these rows are the occurrence preorder read downwards.
+    ``succ`` and ``pred``: the rows and columns of the ordering graph, one
+    edge per constraint.
+    """
+    need, needed_by, forces, succ, pred = rows = tuple([0] * process.n for _ in range(5))
+    for c in process.constraints:
+        a, b = c.source.index, c.target.index
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+        if c.kind is not ConstraintKind.RESPONSE:
+            need[b] |= 1 << a
+            needed_by[a] |= 1 << b
+            forces[b] |= 1 << a
+        if c.kind is not ConstraintKind.PRECEDENCE:
+            forces[a] |= 1 << b
+    return rows
+
+
 def implied_occurrence(process: DeclarativeProcess) -> BinaryRelation:
     """The occurrence preorder: (a, b) present when b occurring forces a.
 
     ``prec a b`` and ``resp b a`` both contribute the pair (a, b), and
-    ``succ a b``, which is ``prec a b`` plus ``resp a b``, contributes
-    (a, b) and (b, a); the base pairs are then closed reflexively and transitively.
+    ``succ a b``, which is ``prec a b`` plus ``resp a b``, contributes (a, b)
+    and (b, a): the ``forces`` rows of ``_graphs``, transposed and closed.
     """
-    pairs = []
-    for c in process.constraints:
-        if c.kind is not ConstraintKind.RESPONSE:
-            pairs.append((c.source.index, c.target.index))
-        if c.kind is not ConstraintKind.PRECEDENCE:
-            pairs.append((c.target.index, c.source.index))
-    return closure(BinaryRelation.from_pairs(process.n, pairs))
+    forces = _graphs(process)[2]
+    return closure(transpose(BinaryRelation(process.n, tuple(forces), (1 << process.n) - 1)))
 
 
 def order_preserving(process: DeclarativeProcess) -> BinaryRelation:
     """Pairwise ordering obligations: (a, b) when a must precede b if both occur.
 
-    Every kind, ``succ`` included, contributes (source, target).  Deliberately
-    not closed: transiting through an activity that does not occur would
-    manufacture ordering obligations that do not exist.
+    Every kind, ``succ`` included, contributes (source, target): the ``succ``
+    rows of ``_graphs``.  Deliberately not closed: transiting through an
+    activity that does not occur would manufacture nonexistent obligations.
     """
-    pairs = [(c.source.index, c.target.index) for c in process.constraints]
-    return BinaryRelation.from_pairs(process.n, pairs)
+    succ = _graphs(process)[3]
+    return BinaryRelation(process.n, tuple(succ), (1 << process.n) - 1)
 
 
 def order_on_downset(process: DeclarativeProcess, downset: Iterable[int]) -> BinaryRelation:

@@ -15,6 +15,9 @@ Components share no constraint, so every trace is a shuffle of one trace
 per component, and the per-length counts join by binomial convolution; the
 activities in no constraint join in one step, as partial permutations.
 Each prefix state is counted once, not once per image that holds it.
+
+Both passes read the edge rows of ``relations._graphs``, the one owner of
+the mapping of constraint kinds to edges.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .linext import _extensions
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
 from .possim import _topological_order
 from .quotient import condense
-from .relations import _bits, implied_occurrence
+from .relations import _bits, _graphs, implied_occurrence
 
 # bench/tracing.py looks these names up on this module to wrap them in timing
 # spans, so they stay importable here although nothing here calls them.
@@ -47,12 +50,11 @@ def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     generator per image of that size, not the number of traces.
     """
     graphs = _graphs(process)
-    succ = graphs[3]
     for layer in _layers((1 << process.n) - 1, graphs):
         # The finished sets are this size's images.  They may come in any
         # order: no trace has two.
         images = [placed for placed, (_, forced, _) in layer.items() if forced == placed]
-        yield from merge(*(_extensions(image, succ) for image in images))
+        yield from merge(*(_extensions(image, graphs[3]) for image in images))
 
 
 def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
@@ -142,31 +144,6 @@ def _partial_permutations(m: int) -> list[int]:
     for k in range(m):
         counts.append(counts[-1] * (m - k))
     return counts
-
-
-def _graphs(process: DeclarativeProcess) -> tuple[list[int], ...]:
-    """The rows the placed-set DP reads, built once per process.
-
-    Returns (need, needed_by, forces, succ, pred).  ``need[x]``: the
-    ``prec``/``succ`` sources of x, which must be placed before x.
-    ``needed_by[x]``: the activities x is such a source of.  ``forces[x]``:
-    what x occurring forces directly, its ``need`` and its ``resp``/``succ``
-    targets; closed, these rows are the occurrence preorder read downwards.
-    ``succ`` and ``pred``: the rows and columns of the ordering graph, one
-    edge per constraint.
-    """
-    need, needed_by, forces, succ, pred = rows = tuple([0] * process.n for _ in range(5))
-    for c in process.constraints:
-        a, b = c.source.index, c.target.index
-        succ[a] |= 1 << b
-        pred[b] |= 1 << a
-        if c.kind is not ConstraintKind.RESPONSE:
-            need[b] |= 1 << a
-            needed_by[a] |= 1 << b
-            forces[b] |= 1 << a
-        if c.kind is not ConstraintKind.PRECEDENCE:
-            forces[a] |= 1 << b
-    return rows
 
 
 def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int, list]]:

@@ -73,10 +73,19 @@ class TestTraces:
 
     @pytest.mark.parametrize(
         "command, contexts",
-        [(["traces"], 0), (["traces", "--format", "json"], 0), (["possim"], 1)],
+        [
+            (["traces"], 0),
+            (["traces", "--format", "json"], 0),
+            (["count"], 0),
+            (["count", "--by-length"], 0),
+            (["possim"], 0),
+            (["classify"], 0),
+            (["check"], 0),
+        ],
     )
-    def test_only_possim_builds_a_possim_context(self, proc_file, monkeypatch, command, contexts):
-        # traces reads its images from the placed-set pass; only possim walks.
+    def test_no_command_builds_a_possim_context(self, proc_file, monkeypatch, command, contexts):
+        # Every command reads the rows of relations._graphs; PossimContext
+        # stays a public referee for is_independent only.
         built = []
         build = PossimContext.of.__func__
 

@@ -4,11 +4,12 @@ Each kernel result is compared with a direct reference: the brute-force
 oracle, fixed-point closure, permutation filtering, or the textbook
 definition, on small random processes, relations and posets.  Trace counts
 are checked against the oracle's length histogram, against enumeration, and
-against a closed form.  The lazy generators are checked against the oracle
-and the lists, and for the memory they hold.  The finished sets of the
-placed-set pass are checked against the possim walk's images.  The
-``possim`` command's bytes are checked against lines built from
-``enumerate_possim`` and ``hasse_pairs``.
+against a closed form.  The occurrence rows, which carry the one reading
+of constraint kinds, are checked against what the oracle's traces force.
+The lazy generators are checked against the oracle and the lists, and for
+the memory they hold.  The finished sets of the placed-set pass are checked
+against the possim walk's images.  The ``possim`` command's bytes are
+checked against lines built from ``enumerate_possim`` and ``hasse_pairs``.
 """
 
 import contextlib
@@ -35,6 +36,7 @@ from decltrace import (
     enumerate_possim,
     expand_successors,
     hasse_pairs,
+    implied_occurrence,
     is_antisymmetric,
     iter_linear_extensions,
     iter_traces,
@@ -46,7 +48,7 @@ from decltrace import (
 )
 from decltrace.cli import main
 from decltrace.linext import _count, _extensions
-from decltrace.possim import PossimContext, _walk
+from decltrace.possim import _walk
 from decltrace.relations import _bits, _mask
 from decltrace.traces import _graphs, _layers
 from support import (
@@ -123,6 +125,18 @@ def test_images_are_the_trace_images_of_the_oracle(process):
     images = [d.members for d in enumerate_possim(process)]
     assert len(images) == len(set(images))
     assert set(images) == {frozenset(t) for t in brute_force_traces(process)}
+
+
+@given(processes())
+def test_occurrence_rows_are_what_the_oracle_traces_force(process):
+    # b forces exactly the activities that every trace holding b holds.
+    occurrence = implied_occurrence(process)
+    images = {frozenset(t) for t in brute_force_traces(process)}
+    for b in range(process.n):
+        holding = [image for image in images if b in image]
+        if holding:
+            forced = {a for a in range(process.n) if occurrence.has(a, b)}
+            assert forced == frozenset.intersection(*holding)
 
 
 @given(processes())
@@ -357,7 +371,7 @@ def test_finished_placed_sets_are_the_walk_images(process):
         for placed, (_, forced, _) in layer.items()
         if forced == placed
     ]
-    images = [members for members, _, _ in _walk(PossimContext.of(process))]
+    images = [members for members, _, _ in _walk(_graphs(process))]
     assert sorted(finished) == sorted(images)
     assert [m.bit_count() for m in finished] == sorted(m.bit_count() for m in images)
 

@@ -276,7 +276,7 @@ class TestPlacedSetDP:
             p = make_process(names[:n], [(rng.choice(KINDS), names[i], names[j]) for i, j in pairs])
             ctx = PossimContext.of(p)
             rows = ctx.ordering.rows
-            whole = [members for members, _, _ in _walk(ctx)]
+            whole = [members for members, _, _ in _walk(_graphs(p))]
             graphs = _graphs(p)
             for component in _components(graphs):
                 images = {members & component for members in whole}
