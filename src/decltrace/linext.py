@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .model import Trace
+from .model import Trace, _Record
 from .relations import BinaryRelation, _bits, _mask, is_antisymmetric, restrict
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Record):
     """A finite poset over global activity indices.
 
     ``order`` must be reflexive, transitive, and antisymmetric on
     ``elements``; the empty poset is allowed.
     """
 
-    elements: frozenset[int]
-    order: BinaryRelation
+    __slots__ = ("elements", "order")
+
+    def __init__(self, elements: frozenset[int], order: BinaryRelation) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "order", order)
 
 
 def _check_antisymmetric(poset: Poset) -> None:

@@ -9,9 +9,9 @@ pipeline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
+from operator import attrgetter
 
 # A trace is a duplicate-free tuple of activity indices; () is the empty trace.
 Trace = tuple[int, ...]
@@ -40,23 +40,70 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Activity:
+class _Record:
+    """Value semantics over ``__slots__``, the base of the library's records.
+
+    A subclass names its fields in ``__slots__``, in order, and sets them in
+    ``__init__`` through ``object.__setattr__``.  Records are equal when they
+    are of the same class with equal fields; the hash and the repr, in
+    dataclass form, read the same fields.  Assigning or deleting an
+    attribute raises ``AttributeError``.  This is what frozen dataclasses
+    gave, without importing ``dataclasses``, which loads ``inspect``,
+    ``ast`` and ``dis`` into every run of the CLI.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # ``_fields(record)`` reads the fields as a tuple (every record has
+        # two or more) in C; the hash and equality of processes run on it,
+        # for every constraint parsed.
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Pickle and copy rebuild through __init__, as assignment is refused.
+        return self.__class__, self._fields(self)
+
+
+class Activity(_Record):
     """A named activity; ``index`` is its position in declaration order."""
 
-    index: int
-    name: str
+    __slots__ = ("index", "name")
+
+    def __init__(self, index: int, name: str) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    kind: ConstraintKind
-    source: Activity
-    target: Activity
+class Constraint(_Record):
+    __slots__ = ("kind", "source", "target")
+
+    def __init__(self, kind: ConstraintKind, source: Activity, target: Activity) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class DeclarativeProcess:
+class DeclarativeProcess(_Record):
     """An activity alphabet plus a duplicate-free sequence of constraints.
 
     Construction validates the alphabet, rejects self-constraints and
@@ -64,8 +111,14 @@ class DeclarativeProcess:
     first-occurrence order.
     """
 
-    activities: tuple[Activity, ...]
-    constraints: tuple[Constraint, ...] = ()
+    __slots__ = ("activities", "constraints")
+
+    def __init__(
+        self, activities: Iterable[Activity], constraints: Iterable[Constraint] = ()
+    ) -> None:
+        object.__setattr__(self, "activities", activities)
+        object.__setattr__(self, "constraints", constraints)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "activities", tuple(self.activities))

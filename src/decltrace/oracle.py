@@ -7,8 +7,8 @@ as little code as possible.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import permutations
-from typing import Iterable
 
 from .model import DeclarativeProcess, Trace, satisfies
 

@@ -11,11 +11,10 @@ an independence system, so a failed node prunes its whole subtree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator
 
-from .model import DeclarativeProcess
+from .model import DeclarativeProcess, _Record
 # bench/tracing.py looks this name up on this module to wrap it in a timing
 # span, so it stays importable here although nothing here calls it.
 from .quotient import condense  # noqa: F401
@@ -38,8 +37,7 @@ class Independence(Enum):
     FAILS_ANTISYMMETRY = "fails_antisymmetry"
 
 
-@dataclass(frozen=True)
-class DownSet:
+class DownSet(_Record):
     """A realizable trace image with its induced ordering law.
 
     ``members`` is closed downward under the occurrence preorder, ``order``
@@ -48,18 +46,27 @@ class DownSet:
     downward closure gives ``members`` back.
     """
 
-    members: frozenset[int]
-    order: BinaryRelation
-    generator: frozenset[int]
+    __slots__ = ("members", "order", "generator")
+
+    def __init__(
+        self, members: frozenset[int], order: BinaryRelation, generator: frozenset[int]
+    ) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "generator", generator)
 
 
-@dataclass(frozen=True)
-class PossimContext:
+class PossimContext(_Record):
     """A process with its occurrence preorder and ordering graph, for ``is_independent``."""
 
-    process: DeclarativeProcess
-    occurrence: BinaryRelation
-    ordering: BinaryRelation
+    __slots__ = ("process", "occurrence", "ordering")
+
+    def __init__(
+        self, process: DeclarativeProcess, occurrence: BinaryRelation, ordering: BinaryRelation
+    ) -> None:
+        object.__setattr__(self, "process", process)
+        object.__setattr__(self, "occurrence", occurrence)
+        object.__setattr__(self, "ordering", ordering)
 
     @classmethod
     def of(cls, process: DeclarativeProcess) -> "PossimContext":

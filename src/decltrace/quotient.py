@@ -3,14 +3,13 @@ classes, and moving down-sets between the two levels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from .model import _Record
 from .relations import BinaryRelation, _bits, is_preorder
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
+class QuotientPoset(_Record):
     """Mutual-reachability classes of a preorder with the induced order.
 
     Classes are numbered by their smallest member, which fixes a
@@ -18,9 +17,14 @@ class QuotientPoset:
     activity index to its class index (-1 outside the ground subset).
     """
 
-    classes: tuple[frozenset[int], ...]
-    order: BinaryRelation
-    class_of: tuple[int, ...]
+    __slots__ = ("classes", "order", "class_of")
+
+    def __init__(
+        self, classes: tuple[frozenset[int], ...], order: BinaryRelation, class_of: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "class_of", class_of)
 
 
 def condense(pre: BinaryRelation) -> QuotientPoset:

@@ -12,10 +12,9 @@ ordering relations, the possim walk and the placed-set pass read its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .model import ConstraintKind, DeclarativeProcess
+from .model import ConstraintKind, DeclarativeProcess, _Record
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -33,20 +32,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class BinaryRelation:
-    n: int
-    rows: tuple[int, ...]
-    members: int
+class BinaryRelation(_Record):
+    __slots__ = ("n", "rows", "members")
+
+    def __init__(self, n: int, rows: tuple[int, ...], members: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if self.members & ~full:
+        members, rows = self.members, self.rows
+        if members & ~((1 << self.n) - 1):
             raise ValueError("members mask outside the ground set")
-        if len(self.rows) != self.n:
+        if len(rows) != self.n:
             raise ValueError("need exactly one row per ground-set index")
-        for i, row in enumerate(self.rows):
-            if row & ~self.members or (row and not self.members >> i & 1):
+        # A non-empty row must belong to a member and lie inside the members.
+        # The members as bits, lowest first, spare a big-integer shift per row.
+        for row, member in zip(rows, reversed(f"{members:0{self.n}b}")):
+            if row and (member == "0" or row & members != row):
                 raise ValueError("all pairs must lie inside the members mask")
 
     @classmethod

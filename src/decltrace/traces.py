@@ -22,9 +22,9 @@ the mapping of constraint kinds to edges.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from heapq import merge
 from math import comb
-from typing import Iterator
 
 from .linext import _extensions
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify

@@ -322,6 +322,29 @@ def test_module_entry_point(tmp_path):
     assert result.stdout == "5\n"
 
 
+def test_cli_import_loads_no_heavy_modules():
+    # Every run pays for what the CLI imports.  A fresh interpreter without
+    # site shows only the package's imports; the baseline is what the
+    # package needs anyway, so a stdlib that loads more on its own still passes.
+    probe = (
+        "import sys, argparse, re, enum, heapq, collections.abc\n"
+        "before = set(sys.modules)\n"
+        "import decltrace.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "decltrace.cli" in added
+    assert not added & {"dataclasses", "inspect", "json", "typing", "pathlib"}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_writing_into_a_full_device_exits_one_quietly(tmp_path):
     path = tmp_path / "p.proc"

@@ -98,6 +98,22 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             BinaryRelation(2, (0b10, 0), 0b01)
 
+    @pytest.mark.parametrize(
+        "rows, members, message",
+        [
+            ((0, 0), 0b100, "members mask outside the ground set"),
+            ((0, 0), -1, "members mask outside the ground set"),
+            ((0,), 0b11, "need exactly one row per ground-set index"),
+            ((0, 0, 0), 0b11, "need exactly one row per ground-set index"),
+            ((0b100, 0), 0b11, "all pairs must lie inside the members mask"),
+            ((0, 0b01), 0b01, "all pairs must lie inside the members mask"),
+            ((0, 0b10), 0b01, "all pairs must lie inside the members mask"),
+        ],
+    )
+    def test_relation_rejects_each_malformed_part(self, rows, members, message):
+        with pytest.raises(ValueError, match=message):
+            BinaryRelation(2, rows, members)
+
     def test_hasse_pairs_drop_transitive_edges(self):
         rel = closure(BinaryRelation.from_pairs(3, [(0, 1), (1, 2)]))
         assert hasse_pairs(rel) == [(0, 1), (1, 2)]
