@@ -19,8 +19,7 @@ class Poset(_Record):
     __slots__ = ("elements", "order")
 
     def __init__(self, elements: frozenset[int], order: BinaryRelation) -> None:
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "order", order)
+        _Record.__init__(self, elements, order)
 
 
 def _check_antisymmetric(poset: Poset) -> None:

@@ -17,6 +17,9 @@ from operator import attrgetter
 Trace = tuple[int, ...]
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
+# Lines end at newlines only; str.splitlines would also break at form feeds,
+# vertical tabs and Unicode separators, which here are whitespace.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 class ConstraintKind(Enum):
@@ -43,16 +46,21 @@ class ParseError(ValueError):
 class _Record:
     """Value semantics over ``__slots__``, the base of the library's records.
 
-    A subclass names its fields in ``__slots__``, in order, and sets them in
-    ``__init__`` through ``object.__setattr__``.  Records are equal when they
-    are of the same class with equal fields; the hash and the repr, in
-    dataclass form, read the same fields.  Assigning or deleting an
-    attribute raises ``AttributeError``.  This is what frozen dataclasses
-    gave, without importing ``dataclasses``, which loads ``inspect``,
-    ``ast`` and ``dis`` into every run of the CLI.
+    A subclass names its fields in ``__slots__``, in order.  Its own
+    ``__init__`` checks and normalizes the arguments, then hands the final
+    values, in that order, to ``_Record.__init__``, the only place that
+    stores a field.  Records are equal when they are of the same class with
+    equal fields; the hash and the repr, in dataclass form, read the same
+    fields.  Assigning or deleting an attribute raises ``AttributeError``.
+    This is what frozen dataclasses gave, without importing ``dataclasses``,
+    which loads ``inspect``, ``ast`` and ``dis`` into every run of the CLI.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -90,17 +98,14 @@ class Activity(_Record):
     __slots__ = ("index", "name")
 
     def __init__(self, index: int, name: str) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "name", name)
+        _Record.__init__(self, index, name)
 
 
 class Constraint(_Record):
     __slots__ = ("kind", "source", "target")
 
     def __init__(self, kind: ConstraintKind, source: Activity, target: Activity) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        _Record.__init__(self, kind, source, target)
 
 
 class DeclarativeProcess(_Record):
@@ -116,16 +121,11 @@ class DeclarativeProcess(_Record):
     def __init__(
         self, activities: Iterable[Activity], constraints: Iterable[Constraint] = ()
     ) -> None:
-        object.__setattr__(self, "activities", activities)
-        object.__setattr__(self, "constraints", constraints)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "activities", tuple(self.activities))
-        if not self.activities:
+        activities = tuple(activities)
+        if not activities:
             raise ValueError("a process needs at least one activity")
         seen_names: set[str] = set()
-        for position, activity in enumerate(self.activities):
+        for position, activity in enumerate(activities):
             if activity.index != position:
                 raise ValueError(
                     f"activity {activity.name!r} has index {activity.index}, expected {position}"
@@ -135,10 +135,10 @@ class DeclarativeProcess(_Record):
             if activity.name in seen_names:
                 raise ValueError(f"duplicate activity name {activity.name!r}")
             seen_names.add(activity.name)
-        declared = set(self.activities)
+        declared = set(activities)
         deduped: list[Constraint] = []
         seen: set[Constraint] = set()
-        for constraint in self.constraints:
+        for constraint in constraints:
             if constraint.source not in declared or constraint.target not in declared:
                 raise ValueError("constraint endpoints must be declared activities")
             if constraint.source == constraint.target:
@@ -146,7 +146,7 @@ class DeclarativeProcess(_Record):
             if constraint not in seen:
                 seen.add(constraint)
                 deduped.append(constraint)
-        object.__setattr__(self, "constraints", tuple(deduped))
+        _Record.__init__(self, activities, tuple(deduped))
 
     @property
     def n(self) -> int:
@@ -181,6 +181,7 @@ def make_process(
 def parse_process(text: str) -> DeclarativeProcess:
     """Parse the line-oriented process format.
 
+    A line ends at LF, CRLF or a lone CR; other separators are whitespace.
     ``#`` starts a comment and blank lines are skipped.  One or more
     ``activities <name> ...`` lines come first; every later line states a
     single constraint: ``prec <a> <b>``, ``resp <a> <b>``, or
@@ -189,7 +190,7 @@ def parse_process(text: str) -> DeclarativeProcess:
     names: list[tuple[str, int]] = []
     triples: list[tuple[tuple[str, str, str], int]] = []
     constraints_started = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -51,9 +51,7 @@ class DownSet(_Record):
     def __init__(
         self, members: frozenset[int], order: BinaryRelation, generator: frozenset[int]
     ) -> None:
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "generator", generator)
+        _Record.__init__(self, members, order, generator)
 
 
 class PossimContext(_Record):
@@ -64,9 +62,7 @@ class PossimContext(_Record):
     def __init__(
         self, process: DeclarativeProcess, occurrence: BinaryRelation, ordering: BinaryRelation
     ) -> None:
-        object.__setattr__(self, "process", process)
-        object.__setattr__(self, "occurrence", occurrence)
-        object.__setattr__(self, "ordering", ordering)
+        _Record.__init__(self, process, occurrence, ordering)
 
     @classmethod
     def of(cls, process: DeclarativeProcess) -> "PossimContext":

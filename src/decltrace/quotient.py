@@ -22,9 +22,7 @@ class QuotientPoset(_Record):
     def __init__(
         self, classes: tuple[frozenset[int], ...], order: BinaryRelation, class_of: tuple[int, ...]
     ) -> None:
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "class_of", class_of)
+        _Record.__init__(self, classes, order, class_of)
 
 
 def condense(pre: BinaryRelation) -> QuotientPoset:

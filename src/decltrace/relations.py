@@ -36,22 +36,16 @@ class BinaryRelation(_Record):
     __slots__ = ("n", "rows", "members")
 
     def __init__(self, n: int, rows: tuple[int, ...], members: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "members", members)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        members, rows = self.members, self.rows
-        if members & ~((1 << self.n) - 1):
+        if members & ~((1 << n) - 1):
             raise ValueError("members mask outside the ground set")
-        if len(rows) != self.n:
+        if len(rows) != n:
             raise ValueError("need exactly one row per ground-set index")
         # A non-empty row must belong to a member and lie inside the members.
         # The members as bits, lowest first, spare a big-integer shift per row.
-        for row, member in zip(rows, reversed(f"{members:0{self.n}b}")):
+        for row, member in zip(rows, reversed(f"{members:0{n}b}")):
             if row and (member == "0" or row & members != row):
                 raise ValueError("all pairs must lie inside the members mask")
+        _Record.__init__(self, n, rows, members)
 
     @classmethod
     def from_pairs(

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import decltrace.cli as cli
-from decltrace import DeclarativeProcess, make_process, traces
+from decltrace import DeclarativeProcess, make_process, parse_process, traces
 from decltrace.cli import main
 from decltrace.possim import PossimContext
 
@@ -296,14 +296,14 @@ class TestFailureModes:
     def test_one_process_per_run(self, proc_file, monkeypatch):
         # The parse builds the only process; the pipeline reads succ as it is.
         built = []
-        validate = DeclarativeProcess.__post_init__
+        construct = DeclarativeProcess.__init__
 
-        def counting(process):
+        def counting(process, *args, **kwargs):
             built.append(process)
-            validate(process)
+            construct(process, *args, **kwargs)
 
         path = proc_file(SPLIT_FOUR)
-        monkeypatch.setattr(DeclarativeProcess, "__post_init__", counting)
+        monkeypatch.setattr(DeclarativeProcess, "__init__", counting)
         for command in (["traces"], ["count"], ["count", "--by-length"], ["possim"]):
             built.clear()
             assert main(command + [path]) == 0
@@ -322,6 +322,17 @@ def test_module_entry_point(tmp_path):
     assert result.stdout == "5\n"
 
 
+def run_without_site(probe, *args):
+    """Run ``probe`` in a fresh interpreter without site, on this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run(
+        [sys.executable, "-S", "-c", probe, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def test_cli_import_loads_no_heavy_modules():
     # Every run pays for what the CLI imports.  A fresh interpreter without
     # site shows only the package's imports; the baseline is what the
@@ -332,17 +343,29 @@ def test_cli_import_loads_no_heavy_modules():
         "import decltrace.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    result = run_without_site(probe)
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
     assert "decltrace.cli" in added
     assert not added & {"dataclasses", "inspect", "json", "typing", "pathlib"}
+
+
+def test_json_output_loads_no_json_module(tmp_path):
+    # Names are [A-Za-z0-9_]+, so quoting one needs no encoder.
+    path = tmp_path / "p.proc"
+    path.write_text(MIXED_FIVE, encoding="utf-8")
+    probe = (
+        "import sys\n"
+        "from decltrace.cli import main\n"
+        "code = main(['traces', '--format', 'json', sys.argv[1]])\n"
+        "sys.stdout.flush()\n"
+        "print(code, 'json' in sys.modules, file=sys.stderr)\n"
+    )
+    result = run_without_site(probe, str(path))
+    assert result.stderr == "0 False\n"
+    process = parse_process(MIXED_FIVE)
+    expected = [[process.names()[i] for i in t] for t in traces(process)]
+    assert result.stdout == json.dumps(expected) + "\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -40,6 +40,34 @@ class TestParse:
         assert p.names() == ("a", "b")
         assert len(p.constraints) == 1
 
+    # Separators that str.splitlines breaks at but a process file does not.
+    NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS)
+    def test_separator_inside_a_comment_stays_in_it(self, sep):
+        p = parse_process(f"activities a b # note{sep}more\nprec a b  # x{sep}prec b a\n")
+        assert p.names() == ("a", "b")
+        assert constraint_triples(p) == {(ConstraintKind.PRECEDENCE, "a", "b")}
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS)
+    def test_separator_between_names_is_whitespace(self, sep):
+        p = parse_process(f"activities a{sep}b {sep}c\nprec{sep}a b{sep}\n")
+        assert p.names() == ("a", "b", "c")
+        assert constraint_triples(p) == {(ConstraintKind.PRECEDENCE, "a", "b")}
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028"])
+    def test_error_after_a_separator_reports_its_file_line(self, sep):
+        with pytest.raises(ParseError, match="^line 3: unknown activity 'z'$") as info:
+            parse_process(f"# head{sep}more{sep}\nactivities a b # x{sep}y\nprec a z\n")
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_newline_ends_a_line(self, newline):
+        text = newline.join(["# c", "activities a b", "", "prec a b", "resp b a", ""])
+        assert parse_process(text) == parse_process("activities a b\nprec a b\nresp b a\n")
+        with pytest.raises(ParseError, match="^line 4: unknown activity 'z'$"):
+            parse_process(newline.join(["# c", "activities a b", "", "prec a z"]))
+
     def test_multiple_activities_lines_concatenate(self):
         p = parse_process("activities a b\nactivities c\nprec a c")
         assert p.names() == ("a", "b", "c")

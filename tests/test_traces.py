@@ -1,5 +1,6 @@
 import random
-from itertools import chain, combinations
+import sys
+from itertools import chain, combinations, islice
 
 import pytest
 
@@ -11,6 +12,7 @@ from decltrace import (
     count_traces,
     enumerate_possim,
     implied_occurrence,
+    iter_traces,
     make_process,
     max_elements,
     maximum_image,
@@ -290,8 +292,17 @@ class TestPlacedSetDP:
                 assert states <= sum(_downset_count(m, rows) for m in images)
 
     def test_long_chain_has_one_trace_per_length(self):
-        n = 2000
+        # Five times the default recursion limit; every stage keeps its own stack.
+        n = 5000
         names = [f"a{i}" for i in range(n)]
         p = make_process(names, [("prec", names[i], names[i + 1]) for i in range(n - 1)])
-        assert count_by_length(p) == [1] * (n + 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            by_length = count_by_length(p)
+            first = list(islice(iter_traces(p), 10))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert by_length == [1] * (n + 1)
+        assert first == [tuple(range(k)) for k in range(10)]
         assert count_traces(p) == n + 1
