@@ -6,19 +6,20 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 
 from .model import Trace, _Record
-from .relations import BinaryRelation, _bits, _mask, is_antisymmetric, restrict
+from .relations import BinaryRelation, _bits, _mask, _within, is_antisymmetric, restrict
 
 
 class Poset(_Record):
     """A finite poset over global activity indices.
 
     ``order`` must be reflexive, transitive, and antisymmetric on
-    ``elements``; the empty poset is allowed.
+    ``elements``, which must lie in its ground set; the empty poset is allowed.
     """
 
     __slots__ = ("elements", "order")
 
     def __init__(self, elements: frozenset[int], order: BinaryRelation) -> None:
+        _within(elements, order.n)
         _Record.__init__(self, elements, order)
 
 

@@ -22,6 +22,7 @@ from .relations import (
     BinaryRelation,
     _bits,
     _graphs,
+    _within,
     closure,
     implied_occurrence,
     is_antisymmetric,
@@ -75,7 +76,7 @@ def max_elements(subset: Iterable[int], preorder: BinaryRelation) -> frozenset[i
     On a preorder "strictly above" means related upward but not back, so a
     whole mutual-reachability class at the top counts as maximal.
     """
-    items = sorted(set(subset))
+    items = _within(subset, preorder.n)
     return frozenset(
         x
         for x in items
@@ -85,16 +86,10 @@ def max_elements(subset: Iterable[int], preorder: BinaryRelation) -> frozenset[i
 
 def downward_closure(subset: Iterable[int], preorder: BinaryRelation) -> frozenset[int]:
     """Everything lying below some element of ``subset``; always a down-set."""
-    targets = set(subset)
+    targets = _within(subset, preorder.n)
     return frozenset(
         x for x in preorder.member_indices() if any(preorder.has(x, y) for y in targets)
     )
-
-
-def _strictly_comparable(x: int, y: int, preorder: BinaryRelation) -> bool:
-    forward = preorder.has(x, y)
-    backward = preorder.has(y, x)
-    return forward != backward
 
 
 def is_independent(
@@ -107,10 +102,10 @@ def is_independent(
     Mutually reachable elements do not violate the antichain property; only
     strict comparability does.
     """
-    items = sorted(set(candidate))
+    items = _within(candidate, ctx.process.n)
     for at, x in enumerate(items):
         for y in items[at + 1 :]:
-            if _strictly_comparable(x, y, ctx.occurrence):
+            if ctx.occurrence.has(x, y) != ctx.occurrence.has(y, x):
                 return Independence.FAILS_ANTICHAIN, None
     members = downward_closure(items, ctx.occurrence)
     order = closure(restrict(ctx.ordering, members))

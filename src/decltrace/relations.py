@@ -24,6 +24,14 @@ def _mask(indices: Iterable[int]) -> int:
     return out
 
 
+def _within(indices: Iterable[int], n: int) -> list[int]:
+    """``indices`` sorted without repeats; rejects any outside ``range(n)``."""
+    items = sorted(set(indices))
+    if items and (items[0] < 0 or items[-1] >= n):
+        raise ValueError("subset outside the ground set")
+    return items
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of a non-negative mask, in ascending order."""
     while mask:
@@ -97,9 +105,7 @@ def transpose(rel: BinaryRelation) -> BinaryRelation:
 
 def restrict(rel: BinaryRelation, subset: Iterable[int]) -> BinaryRelation:
     """Keep only pairs with both endpoints in ``subset``; indices are global."""
-    wanted = _mask(subset)
-    if wanted & ~((1 << rel.n) - 1):
-        raise ValueError("subset outside the ground set")
+    wanted = _mask(_within(subset, rel.n))
     members = rel.members & wanted
     rows = tuple(rel.rows[i] & wanted if members >> i & 1 else 0 for i in range(rel.n))
     return BinaryRelation(rel.n, rows, members)

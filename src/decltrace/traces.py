@@ -53,7 +53,7 @@ def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     for layer in _layers((1 << process.n) - 1, graphs):
         # The finished sets are this size's images.  They may come in any
         # order: no trace has two.
-        images = [placed for placed, (_, forced, _) in layer.items() if forced == placed]
+        images = [placed for placed, (_, forced, *_) in layer.items() if forced == placed]
         yield from merge(*(_extensions(image, graphs[3]) for image in images))
 
 
@@ -151,26 +151,25 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
 
     ``component`` is a mask closed under the constraints, such as all
     activities or one connected component.  Each layer maps a placed set T
-    (a mask) to [ways, D, placeable]: the number of valid orderings of T,
-    the set D that T forces, and the activities that may be placed next.
-    Placing x needs every ``need[x]`` placed and no ordering successor of x
-    placed.  T is live, that is some trace extends an ordering of T,
-    exactly when no ordering edge enters T from D outside T and the
-    ordering graph on D is acyclic.  Dead sets are dropped, so every set
-    kept is a down-set of the order on the image D, and the sets with
-    T = D are the images inside ``component``.
+    (a mask) to [ways, D, placeable, barred]: the number of valid orderings
+    of T, the set D that T forces, the activities that may be placed next,
+    and those that T bars, the OR of ``pred[t]`` over t in T: they must
+    come before something placed, so they can never be placed later.
+    Placing x needs every ``need[x]`` placed and x not barred.  T + x is
+    live, that is some trace extends an ordering of it, exactly when
+    nothing in its D outside T + x is barred by T + x and the ordering
+    graph on that D is acyclic.  Dead sets are dropped, so every set kept
+    is a down-set of the order on the image D, and the sets with T = D are
+    the images inside ``component``.
     """
     need, needed_by, forces, succ, pred = graphs
-    start = 0
-    for x in _bits(component):
-        if not need[x]:
-            start |= 1 << x
+    start = sum(1 << x for x in _bits(component) if not need[x])
     acyclic: dict[int, bool] = {}
-    layer: dict[int, list] = {0: [1, 0, start]}
+    layer: dict[int, list] = {0: [1, 0, start, 0]}
     while layer:
         yield layer
         grown: dict[int, list | None] = {}
-        for placed, (ways, forced, placeable) in layer.items():
+        for placed, (ways, forced, placeable, barred) in layer.items():
             left = placeable
             while left:
                 bit = left & -left
@@ -182,24 +181,22 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
                         state[0] += ways
                     continue
                 x = bit.bit_length() - 1
-                # Grow D by what x forces that T did not, and check that no
-                # edge leaves the new part for T + x.
+                now_barred = barred | pred[x]
+                # Grow D by what x forces that T did not, level by level.
+                # Past x, which is not barred, a level that meets the barred
+                # activities lies in D - (T + x), so T + x is dead.
                 fresh = bit & ~forced
                 now_forced = forced | fresh
-                live = True
-                while fresh and live:
+                while fresh and not fresh & now_barred:
                     reached = 0
                     for y in _bits(fresh):
-                        if succ[y] & now:
-                            live = False
-                            break
                         reached |= forces[y]
                     fresh = reached & ~now_forced
                     now_forced |= fresh
                 waiting = now_forced & ~now
-                live = live and not pred[x] & waiting
+                live = not now_barred & waiting
                 if live and waiting and now_forced != forced:
-                    # With no edge from D - T into T, a cycle of D lies in
+                    # With nothing in D - T barred, a cycle of D lies in
                     # D - T, since T has a valid order; so the answer is D's.
                     live = acyclic.get(now_forced)
                     if live is None:
@@ -210,9 +207,9 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
                     continue
                 now_placeable = placeable & ~bit & ~pred[x]
                 for y in _bits(needed_by[x]):
-                    if not need[y] & ~now and not succ[y] & now:
+                    if not need[y] & ~now and not now_barred >> y & 1:
                         now_placeable |= 1 << y
-                grown[now] = [ways, now_forced, now_placeable]
+                grown[now] = [ways, now_forced, now_placeable, now_barred]
         layer = {placed: state for placed, state in grown.items() if state is not None}
 
 
@@ -233,7 +230,7 @@ def count_by_length(process: DeclarativeProcess) -> list[int]:
             continue
         counts: list[int] = []
         for layer in _layers(component, graphs):
-            for placed, (ways, forced, _) in layer.items():
+            for placed, (ways, forced, *_) in layer.items():
                 if forced == placed:
                     size = placed.bit_count()
                     counts.extend([0] * (size + 1 - len(counts)))

@@ -8,7 +8,8 @@ against a closed form.  The occurrence rows, which carry the one reading
 of constraint kinds, are checked against what the oracle's traces force.
 The lazy generators are checked against the oracle and the lists, and for
 the memory they hold.  The finished sets of the placed-set pass are checked
-against the possim walk's images.  The ``possim`` command's bytes are
+against the possim walk's images, and all its kept sets against the prefix
+sets of the oracle's traces.  The ``possim`` command's bytes are
 checked against lines built from ``enumerate_possim`` and ``hasse_pairs``.
 """
 
@@ -16,6 +17,7 @@ import contextlib
 import io
 import tempfile
 import tracemalloc
+from collections import Counter
 from itertools import islice, permutations
 from math import factorial
 from pathlib import Path
@@ -368,12 +370,38 @@ def test_finished_placed_sets_are_the_walk_images(process):
     finished = [
         placed
         for layer in _layers((1 << process.n) - 1, _graphs(process))
-        for placed, (_, forced, _) in layer.items()
+        for placed, (_, forced, *_) in layer.items()
         if forced == placed
     ]
     images = [members for members, _, _ in _walk(_graphs(process))]
     assert sorted(finished) == sorted(images)
     assert [m.bit_count() for m in finished] == sorted(m.bit_count() for m in images)
+
+
+def or_rows(rows, mask):
+    out = 0
+    for x in _bits(mask):
+        out |= rows[x]
+    return out
+
+
+@given(processes())
+# {a, c} is dead: a forces b, which must come before c.
+@example(make_process("abc", [("resp", "a", "b"), ("resp", "b", "c")]))
+def test_kept_placed_sets_are_the_trace_prefix_sets(process):
+    # A placed set is kept exactly when some trace starts with its
+    # activities, its ways are the orderings that start one, and its barred
+    # mask is what must come before any of them.
+    graphs = _graphs(process)
+    pred = graphs[4]
+    kept = {}
+    for layer in _layers((1 << process.n) - 1, graphs):
+        for placed, (ways, *_, barred) in layer.items():
+            assert barred == or_rows(pred, placed)
+            kept[placed] = ways
+    oracle = brute_force_traces(process)
+    prefixes = {trace[:k] for trace in oracle for k in range(len(trace) + 1)}
+    assert kept == Counter(_mask(prefix) for prefix in prefixes)
 
 
 def test_count_equals_enumeration_on_the_acceptance_batch(instance_batch):

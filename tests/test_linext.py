@@ -46,6 +46,12 @@ class TestLinearExtensions:
         with pytest.raises(ValueError, match="antisymmetric"):
             count_linear_extensions(bad)
 
+    def test_elements_outside_the_order_rejected(self):
+        order = closure(BinaryRelation.from_pairs(3, [(0, 1)]))
+        for elements in ({0, 1, 5, 6}, {-1, 0}):
+            with pytest.raises(ValueError, match="outside the ground set"):
+                Poset(frozenset(elements), order)
+
     def test_matches_permutation_filter(self):
         rng = random.Random(97)
         for _ in range(150):

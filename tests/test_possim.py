@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from decltrace import (
     DownSet,
     Independence,
@@ -54,6 +56,18 @@ class TestMaxAndClosure:
         occ = implied_occurrence(example_mixed_five())
         assert downward_closure({3}, occ) == frozenset(range(5))
 
+    def test_max_rejects_indices_outside_the_preorder(self):
+        occ = implied_occurrence(make_process(["a"]))
+        for bad in ([7], [-1], [0, 1]):
+            with pytest.raises(ValueError, match="subset outside the ground set"):
+                max_elements(bad, occ)
+
+    def test_downward_closure_rejects_indices_outside_the_preorder(self):
+        occ = implied_occurrence(make_process(["a"]))
+        for bad in ([7], [-1], [0, 1]):
+            with pytest.raises(ValueError, match="subset outside the ground set"):
+                downward_closure(bad, occ)
+
     def test_mutually_inverse_on_downsets(self):
         rng = random.Random(61)
         for _ in range(80):
@@ -96,6 +110,12 @@ class TestIsIndependent:
         verdict, downset = is_independent({0, 1}, ctx)
         assert verdict is Independence.INDEPENDENT
         assert downset.members == frozenset({0, 1})
+
+    def test_rejects_indices_outside_the_process(self):
+        ctx = PossimContext.of(make_process(["a"]))
+        for bad in ([7], [-1], [0, 1]):
+            with pytest.raises(ValueError, match="subset outside the ground set"):
+                is_independent(bad, ctx)
 
 
 class TestEnumerate:

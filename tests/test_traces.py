@@ -284,7 +284,7 @@ class TestPlacedSetDP:
                 images = {members & component for members in whole}
                 states = 0
                 for size, layer in enumerate(_layers(component, graphs)):
-                    for placed, (ways, forced, _) in layer.items():
+                    for placed, (ways, forced, *_) in layer.items():
                         assert placed.bit_count() == size and ways > 0
                         assert forced in images
                         assert not any(rows[y] & placed for y in _bits(forced & ~placed))
