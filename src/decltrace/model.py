@@ -186,47 +186,43 @@ def parse_process(text: str) -> DeclarativeProcess:
     ``activities <name> ...`` lines come first; every later line states a
     single constraint: ``prec <a> <b>``, ``resp <a> <b>``, or
     ``succ <a> <b>``.
+
+    Each line is checked as it is read, against the names declared on the
+    lines above it.  The first faulty line is the one reported, and within
+    it the first faulty token.
     """
-    names: list[tuple[str, int]] = []
-    triples: list[tuple[tuple[str, str, str], int]] = []
-    constraints_started = False
+    names: dict[str, None] = {}  # the keys keep declaration order
+    triples: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        head = tokens[0]
+        head, *args = tokens
         if head == "activities":
-            if constraints_started:
+            if triples:
                 raise ParseError(lineno, "activities line after a constraint line")
-            if len(tokens) < 2:
+            if not args:
                 raise ParseError(lineno, "activities line needs at least one name")
-            for token in tokens[1:]:
-                if not _NAME.match(token):
-                    raise ParseError(lineno, f"invalid activity name {token!r}")
-                names.append((token, lineno))
+            for name in args:
+                if not _NAME.match(name):
+                    raise ParseError(lineno, f"invalid activity name {name!r}")
+                if name in names:
+                    raise ParseError(lineno, f"duplicate activity name {name!r}")
+                names[name] = None
         elif head in ("prec", "resp", "succ"):
-            constraints_started = True
-            if len(tokens) != 3:
+            if len(args) != 2:
                 raise ParseError(lineno, f"{head!r} takes exactly two activity names")
-            triples.append(((head, tokens[1], tokens[2]), lineno))
+            for name in args:
+                if name not in names:
+                    raise ParseError(lineno, f"unknown activity {name!r}")
+            if args[0] == args[1]:
+                raise ParseError(lineno, f"self-constraint on {args[0]!r}")
+            triples.append((head, *args))
         else:
             raise ParseError(lineno, f"unrecognized directive {head!r}")
     if not names:
         raise ParseError(1, "no activities declared")
-    seen: set[str] = set()
-    for name, lineno in names:
-        if name in seen:
-            raise ParseError(lineno, f"duplicate activity name {name!r}")
-        seen.add(name)
-    for (_, source, target), lineno in triples:
-        if source not in seen:
-            raise ParseError(lineno, f"unknown activity {source!r}")
-        if target not in seen:
-            raise ParseError(lineno, f"unknown activity {target!r}")
-        if source == target:
-            raise ParseError(lineno, f"self-constraint on {source!r}")
-    return make_process([name for name, _ in names], [triple for triple, _ in triples])
+    return make_process(names, triples)
 
 
 def render_process(process: DeclarativeProcess) -> str:

@@ -44,6 +44,8 @@ class BinaryRelation(_Record):
     __slots__ = ("n", "rows", "members")
 
     def __init__(self, n: int, rows: tuple[int, ...], members: int) -> None:
+        if n < 0:
+            raise ValueError(f"ground-set size {n} is negative")
         if members & ~((1 << n) - 1):
             raise ValueError("members mask outside the ground set")
         if len(rows) != n:
@@ -59,13 +61,13 @@ class BinaryRelation(_Record):
     def from_pairs(
         cls, n: int, pairs: Iterable[tuple[int, int]] = (), members: Iterable[int] | None = None
     ) -> "BinaryRelation":
-        mask = (1 << n) - 1 if members is None else _mask(members)
         rows = [0] * n
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i}, {j}) outside the ground set")
             rows[i] |= 1 << j
-        return cls(n, tuple(rows), mask)
+        members = range(n) if members is None else members
+        return cls(n, tuple(rows), _mask(_within(members, n)))
 
     def has(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)

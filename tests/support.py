@@ -4,6 +4,7 @@ oracles, and random instance generators."""
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from itertools import permutations
 
 from decltrace import (
@@ -83,6 +84,19 @@ def random_process(
     return make_process(LETTERS[:n], constraints)
 
 
+def random_wide_process(seed: int) -> DeclarativeProcess:
+    """A seeded process of 9 to 16 activities, past the oracle's reach;
+    even seeds mix all kinds, odd seeds take one kind in turn."""
+    rng = random.Random(seed)
+    n = rng.randint(9, 16)
+    kinds = KINDS if seed % 2 == 0 else (KINDS[seed // 2 % 3],)
+    constraints = []
+    for _ in range(rng.randint(n // 3, n)):
+        i, j = rng.sample(range(n), 2)
+        constraints.append((rng.choice(kinds), f"a{i}", f"a{j}"))
+    return make_process([f"a{i}" for i in range(n)], constraints)
+
+
 def random_relation(rng: random.Random, max_n: int = 8, density: float = 0.3) -> BinaryRelation:
     n = rng.randint(1, max_n)
     pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
@@ -138,3 +152,75 @@ def compliant_permutations(poset: Poset) -> set[Trace]:
         if ok:
             out.add(candidate)
     return out
+
+
+class SubsetDP:
+    """Independent reference for the trace set, by a DP over every subset.
+
+    Reads the constraint triples only, and builds no forcing closure and no
+    liveness test.  A trace is built one activity at a time: placing x needs
+    x's ``prec``/``succ`` sources placed and none of x's ``resp``/``succ``
+    targets placed.  ``ways[S]`` counts the valid orderings of S.  S is
+    finished when it holds the ``resp``/``succ`` targets of its members; the
+    valid orderings of a finished S are traces, and the finished S with any
+    are ``images``.  Bit L of ``lengths[S]`` is set when an image of size L
+    extends S by valid placements, so the sets with ``ways`` and
+    ``lengths`` both non-zero are the trace prefix sets.
+    """
+
+    def __init__(self, process: DeclarativeProcess) -> None:
+        n = self.n = process.n
+        if n > 16:
+            raise ValueError("the subset DP is limited to 16 activities")
+        self.need = [0] * n
+        self.forbid = [0] * n
+        for c in process.constraints:
+            a, b = c.source.index, c.target.index
+            if c.kind.value in ("prec", "succ"):
+                self.need[b] |= 1 << a
+            if c.kind.value in ("resp", "succ"):
+                self.forbid[a] |= 1 << b
+        self.ways = [0] * (1 << n)
+        self.ways[0] = 1
+        self.images: set[int] = set()
+        reached = []
+        for placed in range(1 << n):
+            if self.ways[placed]:
+                reached.append(placed)
+                if all(not self.forbid[x] & ~placed for x in range(n) if placed >> x & 1):
+                    self.images.add(placed)
+                for x in self.moves(placed):
+                    self.ways[placed | 1 << x] += self.ways[placed]
+        self.lengths = [0] * (1 << n)
+        for placed in reversed(reached):
+            lengths = 1 << placed.bit_count() if placed in self.images else 0
+            for x in self.moves(placed):
+                lengths |= self.lengths[placed | 1 << x]
+            self.lengths[placed] = lengths
+
+    def moves(self, placed: int) -> list[int]:
+        """The activities that may be placed after the set ``placed``, ascending."""
+        return [
+            x
+            for x in range(self.n)
+            if not placed >> x & 1 and not self.need[x] & ~placed and not self.forbid[x] & placed
+        ]
+
+    def count_by_length(self) -> list[int]:
+        counts = [0] * self.lengths[0].bit_length()
+        for image in self.images:
+            counts[image.bit_count()] += self.ways[image]
+        return counts
+
+    def traces(self) -> Iterator[Trace]:
+        """Every trace, by length then activity index, by a DFS per length."""
+        for length in range(self.lengths[0].bit_length()):
+            stack: list[tuple[int, Trace]] = [(0, ())]
+            while stack:
+                placed, prefix = stack.pop()
+                if len(prefix) == length:
+                    yield prefix
+                    continue
+                for x in reversed(self.moves(placed)):
+                    if self.lengths[placed | 1 << x] >> length & 1:
+                        stack.append((placed | 1 << x, prefix + (x,)))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from decltrace import (
     Constraint,
@@ -19,6 +21,37 @@ from support import example_mixed_three, example_prec_six, random_process, word
 
 def constraint_triples(process):
     return {(c.kind, c.source.name, c.target.name) for c in process.constraints}
+
+
+def parse_outcome(text):
+    """None when ``text`` parses, else the error's line and message."""
+    try:
+        parse_process(text)
+    except ParseError as error:
+        return error.line, str(error)
+    return None
+
+
+NO_ACTIVITIES = (1, "line 1: no activities declared")
+
+# Valid lines, and lines with each kind of fault; z is never declared.
+PROCESS_LINES = [
+    "activities a b",
+    "activities c",
+    "activities b b",
+    "activities a-b",
+    "activities",
+    "prec a b",
+    "resp b c",
+    "  succ c a  # note",
+    "prec a z",
+    "resp a a",
+    "succ a",
+    "prec a b c",
+    "foo a",
+    "",
+    "# comment",
+]
 
 
 class TestParse:
@@ -104,6 +137,39 @@ class TestParse:
     def test_invalid_name_rejected(self):
         with pytest.raises(ParseError, match="invalid"):
             parse_process("activities a-b")
+
+    @given(st.lists(st.sampled_from(PROCESS_LINES), min_size=1, max_size=7))
+    @example(["activities a a", "foo x"])
+    @example(["activities a b", "prec a z", "prec a"])
+    def test_a_file_fails_as_its_first_faulty_prefix(self, lines):
+        # Lines are checked as they are read, so the first faulty prefix's
+        # error is the error of every longer prefix, the whole file included.
+        # Until some line declares an activity, a prefix fails only for that.
+        outcomes = [parse_outcome("\n".join(lines[:k])) for k in range(1, len(lines) + 1)]
+        faulty = [k for k, outcome in enumerate(outcomes, 1) if outcome not in (None, NO_ACTIVITIES)]
+        if faulty:
+            first = faulty[0]
+            assert outcomes[first - 1][0] == first
+            assert outcomes[first:] == [outcomes[first - 1]] * (len(lines) - first)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("activities a a\nfoo x", "line 1: duplicate activity name 'a'"),
+            ("activities a b\nprec a z\nprec a", "line 2: unknown activity 'z'"),
+            ("activities a a a-b", "line 1: duplicate activity name 'a'"),
+            ("activities a b\nprec a a\nactivities c", "line 2: self-constraint on 'a'"),
+            ("activities a b\nresp b z\nbar", "line 2: unknown activity 'z'"),
+            ("activities a\nactivities a\nactivities", "line 2: duplicate activity name 'a'"),
+            # No name is declared above a leading constraint line.
+            ("prec a b", "line 1: unknown activity 'a'"),
+            ("# head\nsucc a b\nactivities a b", "line 2: unknown activity 'a'"),
+        ],
+    )
+    def test_the_first_faulty_line_is_reported(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_process(text)
+        assert str(info.value) == message
 
     def test_duplicate_constraints_collapse(self):
         p = parse_process("activities a b\nprec a b\nprec a b")

@@ -114,6 +114,18 @@ class TestBasicOperations:
         with pytest.raises(ValueError, match=message):
             BinaryRelation(2, rows, members)
 
+    def test_from_pairs_rejects_negative_members(self):
+        with pytest.raises(ValueError, match="^subset outside the ground set$"):
+            BinaryRelation.from_pairs(3, [], members=[-1])
+
+    def test_from_pairs_rejects_a_negative_size(self):
+        with pytest.raises(ValueError, match="^ground-set size -1 is negative$"):
+            BinaryRelation.from_pairs(-1)
+
+    def test_relation_rejects_a_negative_size(self):
+        with pytest.raises(ValueError, match="^ground-set size -1 is negative$"):
+            BinaryRelation(-1, (), 0)
+
     def test_hasse_pairs_drop_transitive_edges(self):
         rel = closure(BinaryRelation.from_pairs(3, [(0, 1), (1, 2)]))
         assert hasse_pairs(rel) == [(0, 1), (1, 2)]

@@ -29,11 +29,13 @@ from decltrace.relations import _bits
 from decltrace.traces import _components, _graphs, _layers
 from support import (
     KINDS,
+    SubsetDP,
     example_mixed_five,
     example_mixed_three,
     example_prec_six,
     example_three_chainish,
     random_process,
+    random_wide_process,
     words,
 )
 
@@ -306,3 +308,30 @@ class TestPlacedSetDP:
         assert by_length == [1] * (n + 1)
         assert first == [tuple(range(k)) for k in range(10)]
         assert count_traces(p) == n + 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_placed_set_pass_matches_the_subset_referee(seed):
+    # Past the oracle's reach, count and traces both read the placed-set
+    # pass, so a set it drops by mistake is missing from both; the referee
+    # shares none of its code.
+    process = random_wide_process(seed)
+    referee = SubsetDP(process)
+    assert count_by_length(process) == referee.count_by_length()
+    graphs = _graphs(process)
+    kept = {}
+    finished = set()
+    for layer in _layers((1 << process.n) - 1, graphs):
+        for placed, (ways, forced, *_) in layer.items():
+            kept[placed] = ways
+            if forced == placed:
+                finished.add(placed)
+    assert finished == referee.images
+    assert sorted(members for members, _, _ in _walk(graphs)) == sorted(referee.images)
+    assert kept == {
+        placed: ways
+        for placed, (ways, lengths) in enumerate(zip(referee.ways, referee.lengths))
+        if ways and lengths
+    }
+    shown = 50_000 if sum(referee.count_by_length()) <= 50_000 else 1_000
+    assert list(islice(iter_traces(process), shown)) == list(islice(referee.traces(), shown))
