@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from .model import DeclarativeProcess, ParseError, Trace, classify, parse_process, satisfies
 from .oracle import SizeLimitError, brute_force_traces
-from .possim import _covers, _walk
-from .relations import _bits, _graphs
+from .possim import _images
+from .relations import _bits
 from .traces import count_by_length, count_traces, iter_traces, traces
 
 # bench/tracing.py looks this name up on this module to wrap it in a timing
@@ -28,7 +29,7 @@ EXIT_MISMATCH = 2
 EXIT_TOO_LARGE = 3
 
 MISMATCH_SHOWN = 5  # traces listed per side of a failed ``check``
-WRITE_BATCH = 4096  # lines per write of ``traces`` and ``possim``
+WRITE_BATCH = 4096  # items per write of a listing
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,8 +83,23 @@ def _load(path: str) -> DeclarativeProcess:
         return parse_process(source.read())
 
 
-def _format_trace(names: tuple[str, ...], trace: Trace) -> str:
-    return " ".join(names[i] for i in trace) if trace else "-"
+def _text(names: tuple[str, ...], traces: Iterable[Trace]) -> Iterator[str]:
+    """One text line per trace: its names, space-separated, or ``-`` when empty."""
+    return (" ".join([names[i] for i in t]) if t else "-" for t in traces)
+
+
+def _write(items: Iterator[str], sep: str, head: str, tail: str) -> None:
+    """Write ``head``, the items joined by ``sep``, then ``tail``.
+
+    The items are joined and written ``WRITE_BATCH`` at a time, so a listing
+    is never held whole and a reader sees its first lines early.
+    """
+    sys.stdout.write(head)
+    gap = ""
+    while batch := list(islice(items, WRITE_BATCH)):
+        sys.stdout.write(gap + sep.join(batch))
+        gap = sep
+    sys.stdout.write(tail)
 
 
 def _digits(n: int) -> str:
@@ -99,40 +115,24 @@ def _digits(n: int) -> str:
 def _run_traces(process: DeclarativeProcess, fmt: str) -> int:
     names = process.names()
     stream = iter_traces(process)
-    write = sys.stdout.write
     if fmt == "json":
-        # The bytes of json.dumps on the whole list, written a batch at a time;
-        # a valid name matches [A-Za-z0-9_]+, so json.dumps only quotes it.
+        # The bytes of json.dumps on the whole list; a valid name matches
+        # [A-Za-z0-9_]+, so json.dumps only quotes it.
         quoted = ['"' + name + '"' for name in names]
-        write("[")
-        gap = ""
-        while batch := list(islice(stream, WRITE_BATCH)):
-            write(gap + ", ".join(["[" + ", ".join([quoted[i] for i in t]) + "]" for t in batch]))
-            gap = ", "
-        write("]\n")
+        _write(("[" + ", ".join([quoted[i] for i in t]) + "]" for t in stream), ", ", "[", "]\n")
     else:
-        while batch := list(islice(stream, WRITE_BATCH)):
-            # _format_trace, inlined: its call per trace took 40 % of the formatting.
-            write("\n".join([" ".join([names[i] for i in t]) if t else "-" for t in batch]) + "\n")
+        _write(_text(names, stream), "\n", "", "\n")
     return EXIT_OK
 
 
 def _run_possim(process: DeclarativeProcess) -> int:
     names = process.names()
-    graphs = _graphs(process)
-    # Each image is formatted as the walk finds it; only its sort key, the
-    # order of enumerate_possim, and its line are kept.
-    found = []
-    for members, _, topological in _walk(graphs):
-        elements = sorted(topological)  # the members, ascending
-        _, upper = _covers(members, topological, graphs[3])
-        covers = [f" {names[v]}<{names[w]}" for v in elements if upper[v] for w in _bits(upper[v])]
-        line = "{" + ",".join([names[i] for i in elements]) + "}" + "".join(covers)
-        found.append(((len(elements), elements), line))
-    found.sort()  # the keys are distinct, so lines are never compared
-    write = sys.stdout.write
-    for start in range(0, len(found), WRITE_BATCH):
-        write("".join([line + "\n" for _, line in found[start : start + WRITE_BATCH]]))
+    lines = (
+        "{" + ",".join([names[v] for v in image]) + "}"
+        + "".join([f" {names[v]}<{names[w]}" for v in image if upper[v] for w in _bits(upper[v])])
+        for _, image, _, _, upper in _images(process)
+    )
+    _write(lines, "\n", "", "\n")
     return EXIT_OK
 
 
@@ -157,9 +157,9 @@ def _run_check(process: DeclarativeProcess) -> int:
     )
     names = process.names()
     for side, found in (("missing", missing), ("extra", extra)):
-        for trace in found[:MISMATCH_SHOWN]:
-            shown = _format_trace(names, trace)
-            print(f"{side}: {shown} ({_verdict(process, trace)})", file=sys.stderr)
+        shown = found[:MISMATCH_SHOWN]
+        for trace, line in zip(shown, _text(names, shown)):
+            print(f"{side}: {line} ({_verdict(process, trace)})", file=sys.stderr)
     return EXIT_MISMATCH
 
 
@@ -176,8 +176,8 @@ def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
         return _run_traces(process, args.format)
     if args.command == "count":
         if args.by_length:
-            for length, count in enumerate(count_by_length(process)):
-                print(length, _digits(count))
+            counts = enumerate(count_by_length(process))
+            _write((f"{length} {_digits(count)}" for length, count in counts), "\n", "", "\n")
         else:
             print(_digits(count_traces(process)))
         return EXIT_OK

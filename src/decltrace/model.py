@@ -102,10 +102,16 @@ class Activity(_Record):
 
 
 class Constraint(_Record):
+    """One constraint; ``kind`` is a ``ConstraintKind`` or its value.
+
+    The kind is stored as the member, so ``"resp"`` reads back as
+    ``ConstraintKind.RESPONSE``; any other kind raises ``ValueError``.
+    """
+
     __slots__ = ("kind", "source", "target")
 
-    def __init__(self, kind: ConstraintKind, source: Activity, target: Activity) -> None:
-        _Record.__init__(self, kind, source, target)
+    def __init__(self, kind: ConstraintKind | str, source: Activity, target: Activity) -> None:
+        _Record.__init__(self, ConstraintKind(kind), source, target)
 
 
 class DeclarativeProcess(_Record):
@@ -172,7 +178,7 @@ def make_process(
     built = []
     for kind, source, target in constraints:
         try:
-            built.append(Constraint(ConstraintKind(kind), by_name[source], by_name[target]))
+            built.append(Constraint(kind, by_name[source], by_name[target]))
         except KeyError as exc:
             raise ValueError(f"unknown activity {exc.args[0]!r}") from None
     return DeclarativeProcess(activities, tuple(built))

@@ -195,20 +195,30 @@ def _walk(graphs: tuple[list[int], ...]) -> Iterator[tuple[int, int, list[int]]]
             stack.append((c + 1, blocked | related[c], grown, grown_generator))
 
 
+def _images(process: DeclarativeProcess) -> Iterator[tuple]:
+    """Every image of ``process`` with its ``_covers`` rows, in (size, members) order.
+
+    Yields (members, elements, generator, reach, upper): the image as a mask
+    and as its activities ascending, the generator mask, and the image's
+    strict reach and cover rows.  The empty image comes first.
+    """
+    graphs = _graphs(process)
+    # The keys (size, elements) are distinct, so the rest is never compared.
+    found = sorted((len(t), sorted(t), m, g, t) for m, g, t in _walk(graphs))
+    for _, elements, members, generator, topological in found:
+        yield (members, elements, generator, *_covers(members, topological, graphs[3]))
+
+
 def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
     """All realizable trace images, each exactly once.
 
     Output is sorted by (size, member indices); the empty image is always
     present and comes first.  An image's order is its ``_covers`` reach, made reflexive.
     """
-    graphs = _graphs(process)
-    n, succ = process.n, graphs[3]
     found = []
-    for members, generator, topological in _walk(graphs):
-        reach, _ = _covers(members, topological, succ)
-        for v in topological:
+    for members, elements, generator, reach, _ in _images(process):
+        for v in elements:
             reach[v] |= 1 << v
-        order = BinaryRelation(n, tuple(reach), members)
-        found.append(DownSet(frozenset(topological), order, frozenset(_bits(generator))))
-    found.sort(key=lambda downset: (len(downset.members), sorted(downset.members)))
+        order = BinaryRelation(process.n, tuple(reach), members)
+        found.append(DownSet(frozenset(elements), order, frozenset(_bits(generator))))
     return found

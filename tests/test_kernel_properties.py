@@ -48,7 +48,7 @@ from decltrace import (
     restrict,
     traces,
 )
-from decltrace.cli import main
+from decltrace.cli import WRITE_BATCH, main
 from decltrace.linext import _count, _extensions
 from decltrace.possim import _walk
 from decltrace.relations import _bits, _mask
@@ -329,6 +329,22 @@ def test_possim_cli_prints_the_reference_covers(process):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["possim", str(path)]) == 0
+    assert out.getvalue() == reference_possim_output(process)
+
+
+def test_possim_cli_prints_every_write_batch(tmp_path):
+    # 13 activities, a1 only after a0: 3 * 2^11 = 6,144 images, more than
+    # one write batch, and 2,048 of them hold the cover a0<a1.
+    names = [f"a{i}" for i in range(13)]
+    process = make_process(names, [("prec", "a0", "a1")])
+    path = tmp_path / "p.proc"
+    path.write_text(process_text(process), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["possim", str(path)]) == 0
+    lines = out.getvalue().split("\n")
+    assert len(lines) - 1 == 6_144 > WRITE_BATCH
+    assert sum(line.endswith(" a0<a1") for line in lines) == 2_048
     assert out.getvalue() == reference_possim_output(process)
 
 

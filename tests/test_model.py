@@ -5,8 +5,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decltrace import (
+    Activity,
     Constraint,
     ConstraintKind,
+    DeclarativeProcess,
     ParseError,
     ProcessClass,
     classify,
@@ -15,6 +17,7 @@ from decltrace import (
     parse_process,
     render_process,
     satisfies,
+    traces,
 )
 from support import example_mixed_three, example_prec_six, random_process, word
 
@@ -286,3 +289,41 @@ class TestConstruction:
     def test_index_of_unknown(self):
         with pytest.raises(ValueError):
             make_process("ab").index_of("z")
+
+    @pytest.mark.parametrize(
+        "activities, message",
+        [
+            ([Activity(1, "a")], "activity 'a' has index 1, expected 0"),
+            ([Activity(0, "a-b")], "invalid activity name 'a-b'"),
+            ([Activity(0, "a"), Activity(1, "a")], "duplicate activity name 'a'"),
+        ],
+    )
+    def test_rejects_each_faulty_alphabet(self, activities, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DeclarativeProcess(activities)
+
+    def test_rejects_an_undeclared_endpoint(self):
+        a, b = Activity(0, "a"), Activity(1, "b")
+        with pytest.raises(ValueError, match="^constraint endpoints must be declared activities$"):
+            DeclarativeProcess([a], [Constraint(ConstraintKind.PRECEDENCE, a, b)])
+
+
+class TestConstraintKind:
+    @pytest.mark.parametrize("kind", list(ConstraintKind))
+    def test_a_kind_given_as_its_value_is_stored_as_the_member(self, kind):
+        a, b = Activity(0, "a"), Activity(1, "b")
+        assert Constraint(kind.value, a, b).kind is kind
+        assert Constraint(kind.value, a, b) == Constraint(kind, a, b)
+
+    def test_a_response_given_as_a_string_acts_as_a_response(self):
+        a, b = Activity(0, "a"), Activity(1, "b")
+        process = DeclarativeProcess([a, b], [Constraint("resp", a, b)])
+        assert traces(process) == [(), (1,), (0, 1)]
+        assert classify(process) is ProcessClass.RESPONSE_ONLY
+        assert render_process(process) == "activities a b\nresp a b\n"
+        assert process == make_process("ab", [("resp", "a", "b")])
+
+    @pytest.mark.parametrize("kind", ["response", "RESP", None, 1])
+    def test_rejects_any_other_kind(self, kind):
+        with pytest.raises(ValueError):
+            Constraint(kind, Activity(0, "a"), Activity(1, "b"))

@@ -118,6 +118,10 @@ class TestBasicOperations:
         with pytest.raises(ValueError, match="^subset outside the ground set$"):
             BinaryRelation.from_pairs(3, [], members=[-1])
 
+    def test_from_pairs_rejects_a_pair_outside_the_ground_set(self):
+        with pytest.raises(ValueError, match=r"^pair \(0, 2\) outside the ground set$"):
+            BinaryRelation.from_pairs(2, [(0, 2)])
+
     def test_from_pairs_rejects_a_negative_size(self):
         with pytest.raises(ValueError, match="^ground-set size -1 is negative$"):
             BinaryRelation.from_pairs(-1)
