@@ -53,16 +53,15 @@ def _extensions(elements: int, rows: Sequence[int]) -> Iterator[Trace]:
     if size < 2:
         yield tuple(_bits(elements))
         return
-    # Placing x can make only its successors placeable, once all their
-    # predecessors have been placed; ``waiting`` counts those not yet placed.
+    # Placing x can make only its successors placeable: y is placeable once
+    # ``before[y]``, the mask of its predecessors, holds nothing still left.
     after = [[] for _ in rows]
-    waiting = [0] * len(rows)
-    minimal = elements  # those no edge enters
+    before = [0] * len(rows)
     for x in _bits(elements):
         after[x] = list(_bits(rows[x] & elements & ~(1 << x)))
         for y in after[x]:
-            waiting[y] += 1
-            minimal &= ~(1 << y)
+            before[y] |= 1 << x
+    minimal = sum(1 << x for x in _bits(elements) if not before[x])
     sequence: list[int] = []
     left = elements  # not yet placed
     # One entry per depth: the placeable elements there, and those not tried yet.
@@ -75,10 +74,7 @@ def _extensions(elements: int, rows: Sequence[int]) -> Iterator[Trace]:
             untried.pop()
             placeable.pop()
             if sequence:
-                x = sequence.pop()
-                left |= 1 << x
-                for y in after[x]:
-                    waiting[y] += 1
+                left |= 1 << sequence.pop()
             continue
         low = options & -options
         untried[-1] = options ^ low
@@ -91,8 +87,7 @@ def _extensions(elements: int, rows: Sequence[int]) -> Iterator[Trace]:
         left ^= low
         free = placeable[-1] ^ low
         for y in after[x]:
-            waiting[y] -= 1
-            if not waiting[y]:
+            if not before[y] & left:
                 free |= 1 << y
         placeable.append(free)
         untried.append(free)

@@ -117,9 +117,9 @@ class Constraint(_Record):
 class DeclarativeProcess(_Record):
     """An activity alphabet plus a duplicate-free sequence of constraints.
 
-    Construction validates the alphabet, rejects self-constraints and
-    undeclared endpoints, and collapses duplicate constraints while keeping
-    first-occurrence order.
+    Construction checks the types of what it is given, validates the
+    alphabet, rejects self-constraints and undeclared endpoints, and
+    collapses duplicate constraints while keeping first-occurrence order.
     """
 
     __slots__ = ("activities", "constraints")
@@ -132,6 +132,10 @@ class DeclarativeProcess(_Record):
             raise ValueError("a process needs at least one activity")
         seen_names: set[str] = set()
         for position, activity in enumerate(activities):
+            if not (isinstance(activity, Activity) and isinstance(activity.name, str)):
+                raise TypeError(
+                    f"activity {position}: expected an Activity with a str name, got {activity!r}"
+                )
             if activity.index != position:
                 raise ValueError(
                     f"activity {activity.name!r} has index {activity.index}, expected {position}"
@@ -144,7 +148,9 @@ class DeclarativeProcess(_Record):
         declared = set(activities)
         deduped: list[Constraint] = []
         seen: set[Constraint] = set()
-        for constraint in constraints:
+        for position, constraint in enumerate(constraints):
+            if not isinstance(constraint, Constraint):
+                raise TypeError(f"constraint {position}: expected a Constraint, got {constraint!r}")
             if constraint.source not in declared or constraint.target not in declared:
                 raise ValueError("constraint endpoints must be declared activities")
             if constraint.source == constraint.target:

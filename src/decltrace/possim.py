@@ -117,27 +117,23 @@ def is_independent(
 def _topological_order(members: int, succ: list[int], pred: list[int]) -> list[int] | None:
     """Kahn's sort of the graph ``succ`` restricted to ``members``.
 
-    ``succ`` and ``pred`` are the graph's strict rows and columns.  Returns
-    None when the restricted graph has a cycle, which is exactly when the
-    closure of the ordering law on ``members`` is not antisymmetric.
+    ``succ`` and ``pred`` are the graph's strict rows and columns.  A member
+    is ready once no predecessor of it is left unsorted.  Returns None when
+    members are left over, which happens exactly when the restricted graph
+    has a cycle, that is when the closure of the ordering law on ``members``
+    is not antisymmetric.
     """
-    waiting: dict[int, int] = {}
-    ready = []
-    for v in _bits(members):
-        count = (pred[v] & members).bit_count()
-        if count:
-            waiting[v] = count
-        else:
-            ready.append(v)
+    ready = [v for v in _bits(members) if not pred[v] & members]
+    left = members  # not yet sorted
     order = []
     while ready:
         v = ready.pop()
         order.append(v)
-        for w in _bits(succ[v] & members):
-            waiting[w] -= 1
-            if not waiting[w]:
+        left ^= 1 << v
+        for w in _bits(succ[v] & left):
+            if not pred[w] & left:
                 ready.append(w)
-    return order if len(order) == members.bit_count() else None
+    return None if left else order
 
 
 def _covers(members: int, topological: list[int], succ: list[int]) -> tuple[list[int], list[int]]:

@@ -50,7 +50,7 @@ from decltrace import (
 )
 from decltrace.cli import WRITE_BATCH, main
 from decltrace.linext import _count, _extensions
-from decltrace.possim import _walk
+from decltrace.possim import _topological_order, _walk
 from decltrace.relations import _bits, _mask
 from decltrace.traces import _graphs, _layers
 from support import (
@@ -250,6 +250,40 @@ def test_graph_extensions_and_count_match_the_closed_poset(graph):
     poset = Poset(members, order)
     assert list(_extensions(elements, rows)) == linear_extensions(poset)
     assert _count(elements, rows) == count_linear_extensions(poset)
+
+
+@st.composite
+def digraphs(draw):
+    """A member mask and strict graph rows: any edges but self loops, so cycles too."""
+    n = draw(st.integers(0, MAX_N))
+    succ = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if a != b and draw(st.booleans()):
+                succ[a] |= 1 << b
+    members = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return _mask(members), succ
+
+
+@given(digraphs())
+@example((0, []))
+@example((0b11, [0b10, 0b01]))  # a 2-cycle
+@example((0b011, [0b010, 0b100, 0b001]))  # the 3-cycle a -> b -> c -> a without c
+@example((0b110, [0b010, 0b100, 0b010]))  # {b, c} of resp a b, resp b c, resp c b
+def test_topological_order_sorts_exactly_the_acyclic_restrictions(graph):
+    members, succ = graph
+    n = len(succ)
+    pred = [sum(1 << a for a in range(n) if succ[a] >> b & 1) for b in range(n)]
+    order = _topological_order(members, succ, pred)
+    kept = frozenset(_bits(members))
+    closed = closure(restrict(BinaryRelation(n, tuple(succ), (1 << n) - 1), kept))
+    assert (order is None) == (not is_antisymmetric(closed))
+    if order is not None:
+        assert sorted(order) == sorted(kept)
+        position = {v: at for at, v in enumerate(order)}
+        for a in kept:
+            for b in _bits(succ[a] & members):
+                assert position[a] < position[b]
 
 
 @given(posets())

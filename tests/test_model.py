@@ -307,6 +307,38 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^constraint endpoints must be declared activities$"):
             DeclarativeProcess([a], [Constraint(ConstraintKind.PRECEDENCE, a, b)])
 
+    @pytest.mark.parametrize(
+        "activities, constraints, message",
+        [
+            (
+                [Activity(0, 5)],
+                [],
+                "activity 0: expected an Activity with a str name, got Activity(index=0, name=5)",
+            ),
+            (["a"], [], "activity 0: expected an Activity with a str name, got 'a'"),
+            (
+                [Activity(0, "a"), "b"],
+                [],
+                "activity 1: expected an Activity with a str name, got 'b'",
+            ),
+            (
+                [Activity(0, "a")],
+                [("prec", "a", "a")],
+                "constraint 0: expected a Constraint, got ('prec', 'a', 'a')",
+            ),
+            (
+                [Activity(0, "a"), Activity(1, "b")],
+                [Constraint("prec", Activity(0, "a"), Activity(1, "b")), None],
+                "constraint 1: expected a Constraint, got None",
+            ),
+        ],
+        ids=["int-name", "bare-name", "later-bare-name", "raw-triple", "later-none"],
+    )
+    def test_rejects_each_value_of_the_wrong_type(self, activities, constraints, message):
+        with pytest.raises(TypeError) as raised:
+            DeclarativeProcess(activities, constraints)
+        assert str(raised.value) == message
+
 
 class TestConstraintKind:
     @pytest.mark.parametrize("kind", list(ConstraintKind))
