@@ -17,7 +17,7 @@ from .model import DeclarativeProcess, ParseError, Trace, classify, parse_proces
 from .oracle import SizeLimitError, brute_force_traces
 from .possim import _images
 from .relations import _bits
-from .traces import count_by_length, count_traces, iter_traces, traces
+from .traces import _listing, count_by_length, count_traces, traces
 
 # bench/tracing.py looks this name up on this module to wrap it in a timing
 # span, so it stays importable here although nothing here calls it.
@@ -84,7 +84,11 @@ def _load(path: str) -> DeclarativeProcess:
 
 
 def _text(names: tuple[str, ...], traces: Iterable[Trace]) -> Iterator[str]:
-    """One text line per trace: its names, space-separated, or ``-`` when empty."""
+    """One text line per trace: its names, space-separated, or ``-`` when empty.
+
+    Only ``check`` uses it, for its mismatch lines; ``traces`` builds the
+    same lines in the search that finds the traces (``_trace_lines``).
+    """
     return (" ".join([names[i] for i in t]) if t else "-" for t in traces)
 
 
@@ -112,16 +116,23 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
-def _run_traces(process: DeclarativeProcess, fmt: str) -> int:
+def _trace_lines(process: DeclarativeProcess, fmt: str) -> Iterator[str]:
+    """The ``traces`` listing's lines, one per trace, each built from its parent's prefix."""
     names = process.names()
-    stream = iter_traces(process)
     if fmt == "json":
         # The bytes of json.dumps on the whole list; a valid name matches
         # [A-Za-z0-9_]+, so json.dumps only quotes it.
         quoted = ['"' + name + '"' for name in names]
-        _write(("[" + ", ".join([quoted[i] for i in t]) + "]" for t in stream), ", ", "[", "]\n")
+        return _listing(process, ([q + ", " for q in quoted], [q + "]" for q in quoted], "[", "[]"))
+    return _listing(process, ([name + " " for name in names], names, "", "-"))
+
+
+def _run_traces(process: DeclarativeProcess, fmt: str) -> int:
+    lines = _trace_lines(process, fmt)
+    if fmt == "json":
+        _write(lines, ", ", "[", "]\n")
     else:
-        _write(_text(names, stream), "\n", "", "\n")
+        _write(lines, "\n", "", "\n")
     return EXIT_OK
 
 

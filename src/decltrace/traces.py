@@ -5,10 +5,20 @@ image of size L yields traces of length L only.  Enumeration and counting
 both run a forward pass over the sets of activities placed so far
 (``_layers``), one layer per size, keeping only live sets: those that some
 trace can still complete.  The live sets that hold everything they force
-are the images.  An image's extensions are the topological orders of the
-ordering graph on it, in lexicographic order, so a heap merge of the
-extension generators of one layer's images gives that length's traces in
-order, with no global sort and no trace held longer than it takes to emit.
+are the images.
+
+A valid prefix's completions depend only on its set, so the live sets,
+joined by their live moves T -> T + x, form a DAG whose paths from the
+empty set to a finished set D are exactly the traces with image D: the
+linear extensions of D's order, read along shared prefixes.  Enumeration
+reads each layer's moves once, as ``(x, child)`` lists, when the next
+layer is built.  For each length L, a backward pass from the finished sets
+of size L keeps, on their ancestors only, the moves that still reach one,
+and a depth-first search from the empty set, taking moves in ascending x,
+yields the length-L traces in order.  Nothing is sorted or merged, and
+memory follows the layers up to L and their moves, not the number of
+traces.  The same search builds the CLI's lines, each from its parent's
+prefix.
 
 Counting runs one pass per connected component of the constraint graph.
 Components share no constraint, so every trace is a shuffle of one trace
@@ -22,11 +32,9 @@ the mapping of constraint kinds to edges.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from heapq import merge
+from collections.abc import Iterator, Sequence
 from math import comb
 
-from .linext import _extensions
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
 from .possim import _topological_order
 from .quotient import condense
@@ -46,15 +54,100 @@ def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) 
 def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     """Every trace, sorted by length then activity index, one at a time.
 
-    Memory follows one layer of live placed sets plus one extension
-    generator per image of that size, not the number of traces.
+    Memory follows the live placed sets up to the current length and their
+    moves, not the number of traces.
+    """
+    return _listing(process)
+
+
+def _listing(
+    process: DeclarativeProcess, text: tuple[Sequence[str], Sequence[str], str, str] | None = None
+) -> Iterator:
+    """Every trace in (length, index) order: as a tuple, or as a line of ``text``.
+
+    ``text`` is (inner, last, head, empty).  A trace's line is ``head``,
+    then ``inner[x]`` for each of its activities but the last, then
+    ``last[x]`` for the last one; the empty trace's line is ``empty``.  Each
+    line is its parent's prefix plus one piece, so no trace is joined anew.
+    A tuple is built once, at the leaf, from the running path: built by
+    concatenation, a long chain's tuples would cost the square of their
+    length each.
     """
     graphs = _graphs(process)
-    for layer in _layers((1 << process.n) - 1, graphs):
-        # The finished sets are this size's images.  They may come in any
-        # order: no trace has two.
-        images = [placed for placed, (_, forced, *_) in layer.items() if forced == placed]
-        yield from merge(*(_extensions(image, graphs[3]) for image in images))
+    # A node stands for one live placed set: [its live moves as (x, child
+    # node), the nodes that move to it, the last length L it was found to
+    # reach a finished set of, its moves that reach one of size L].  The
+    # passes per length follow these links, hashing no placed set.
+    above: list[tuple[int, list, list]] = []  # (placed, state, node) of the layer above
+    for size, layer in enumerate(_layers((1 << process.n) - 1, graphs)):
+        nodes = {placed: [[], [], -1, None] for placed in layer}
+        # The live moves out of the layer above, which its states' placeable
+        # masks hold once this layer is built.
+        for placed, state, node in above:
+            moves = node[0]
+            placeable = state[2]
+            while placeable:
+                bit = placeable & -placeable
+                placeable ^= bit
+                child = nodes[placed | bit]
+                moves.append((bit.bit_length() - 1, child))
+                child[1].append(node)
+        above = [(placed, state, nodes[placed]) for placed, state in layer.items()]
+        finished = [nodes[placed] for placed, state in layer.items() if state[1] == placed]
+        if not size:
+            root = nodes[0]
+            yield () if text is None else text[3]
+            continue
+        if not finished:
+            continue
+        # Mark the ancestors of this size's finished sets, then keep, on
+        # them only, the moves that reach one; an ancestor with one move
+        # reaches one through it.
+        for node in finished:
+            node[2] = size
+        first_ancestor = len(finished)
+        queue = finished
+        for node in queue:
+            for parent in node[1]:
+                if parent[2] != size:
+                    parent[2] = size
+                    queue.append(parent)
+        for node in queue[first_ancestor:]:
+            moves = node[0]
+            node[3] = moves if len(moves) == 1 else [move for move in moves if move[1][2] == size]
+        if text is not None:
+            inner, last, head, _ = text
+        if size == 1:
+            if text is None:
+                yield from ((x,) for x, _ in root[3])
+            else:
+                yield from (head + last[x] for x, _ in root[3])
+            continue
+        # values[d] is the path's d-th activity, or for lines the prefix of
+        # its first d activities; a stack entry is one depth's untried moves.
+        values = [0] * size if text is None else [head] * size
+        bottom = size - 2
+        stack = [iter(root[3])]
+        while stack:
+            depth = len(stack) - 1
+            for x, child in stack[-1]:
+                if text is None:
+                    values[depth] = x
+                else:
+                    values[depth + 1] = values[depth] + inner[x]
+                if depth < bottom:
+                    stack.append(iter(child[3]))
+                    break
+                if text is None:
+                    for y, _ in child[3]:
+                        values[-1] = y
+                        yield tuple(values)
+                else:
+                    prefix = values[-1]
+                    for y, _ in child[3]:
+                        yield prefix + last[y]
+            else:
+                stack.pop()
 
 
 def traces(process: DeclarativeProcess, parallel: bool = False) -> list[Trace]:
@@ -160,7 +253,9 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
     nothing in its D outside T + x is barred by T + x and the ordering
     graph on that D is acyclic.  Dead sets are dropped, so every set kept
     is a down-set of the order on the image D, and the sets with T = D are
-    the images inside ``component``.
+    the images inside ``component``.  Once the next layer is built, each
+    state's placeable mask keeps only the x whose T + x is kept: T's live
+    moves.
     """
     need, needed_by, forces, succ, pred = graphs
     start = sum(1 << x for x in _bits(component) if not need[x])
@@ -169,16 +264,19 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
     while layer:
         yield layer
         grown: dict[int, list | None] = {}
-        for placed, (ways, forced, placeable, barred) in layer.items():
+        for placed, state in layer.items():
+            ways, forced, placeable, barred = state
+            moved = 0
             left = placeable
             while left:
                 bit = left & -left
                 left ^= bit
                 now = placed | bit
                 if now in grown:
-                    state = grown[now]
-                    if state is not None:
-                        state[0] += ways
+                    known = grown[now]
+                    if known is not None:
+                        known[0] += ways
+                        moved |= bit
                     continue
                 x = bit.bit_length() - 1
                 now_barred = barred | pred[x]
@@ -197,11 +295,12 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
                 live = not now_barred & waiting
                 if live and waiting and now_forced != forced:
                     # With nothing in D - T barred, a cycle of D lies in
-                    # D - T, since T has a valid order; so the answer is D's.
-                    live = acyclic.get(now_forced)
+                    # D - T, since T has a valid order; so the answer is
+                    # D - T's alone, and sets that leave the same rest share it.
+                    live = acyclic.get(waiting)
                     if live is None:
                         live = _topological_order(waiting, succ, pred) is not None
-                        acyclic[now_forced] = live
+                        acyclic[waiting] = live
                 if not live:
                     grown[now] = None
                     continue
@@ -210,6 +309,8 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
                     if not need[y] & ~now and not now_barred >> y & 1:
                         now_placeable |= 1 << y
                 grown[now] = [ways, now_forced, now_placeable, now_barred]
+                moved |= bit
+            state[2] = moved
         layer = {placed: state for placed, state in grown.items() if state is not None}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from heapq import merge
 from itertools import permutations
 
 from decltrace import (
@@ -16,6 +17,8 @@ from decltrace import (
     make_process,
     parse_process,
 )
+from decltrace.linext import _extensions
+from decltrace.traces import _graphs, _layers
 
 LETTERS = "abcdefgh"
 
@@ -224,3 +227,17 @@ class SubsetDP:
                 for x in reversed(self.moves(placed)):
                     if self.lengths[placed | 1 << x] >> length & 1:
                         stack.append((placed | 1 << x, prefix + (x,)))
+
+
+def merged_traces(process: DeclarativeProcess) -> Iterator[Trace]:
+    """Every trace, by length then activity index, by the heap-merge route.
+
+    Each size's images are the finished sets of the placed-set pass, and
+    the lexicographic extension generators of one size's images, one per
+    image, are merged by a heap.  It shares the pass with ``iter_traces``
+    but neither its moves nor its search, so it referees the search.
+    """
+    graphs = _graphs(process)
+    for layer in _layers((1 << process.n) - 1, graphs):
+        images = [placed for placed, (_, forced, *_) in layer.items() if forced == placed]
+        yield from merge(*(_extensions(image, graphs[3]) for image in images))

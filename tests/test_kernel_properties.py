@@ -7,14 +7,18 @@ are checked against the oracle's length histogram, against enumeration, and
 against a closed form.  The occurrence rows, which carry the one reading
 of constraint kinds, are checked against what the oracle's traces force.
 The lazy generators are checked against the oracle and the lists, and for
-the memory they hold.  The finished sets of the placed-set pass are checked
-against the possim walk's images, and all its kept sets against the prefix
-sets of the oracle's traces.  The ``possim`` command's bytes are
+the memory they hold; the trace listing, as tuples and as the CLI's text
+and JSON bytes, against the heap merge of per-image extensions.  The
+finished sets of the placed-set pass are checked against the possim walk's
+images, and all its kept sets against the prefix sets of the oracle's
+traces.  The ``possim`` command's bytes are
 checked against lines built from ``enumerate_possim`` and ``hasse_pairs``.
 """
 
 import contextlib
 import io
+import json
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -48,7 +52,7 @@ from decltrace import (
     restrict,
     traces,
 )
-from decltrace.cli import WRITE_BATCH, main
+from decltrace.cli import WRITE_BATCH, _text, _trace_lines, main
 from decltrace.linext import _count, _extensions
 from decltrace.possim import _topological_order, _walk
 from decltrace.relations import _bits, _mask
@@ -59,6 +63,7 @@ from support import (
     closure_by_iteration,
     compliant_permutations,
     example_split_class,
+    merged_traces,
 )
 
 MAX_N = 7
@@ -217,6 +222,63 @@ def test_short_traces_come_before_the_long_images_are_found():
     process = make_process([f"a{i}" for i in range(60)])
     expected = [t for k in range(3) for t in permutations(range(60), k)]
     assert list(islice(iter_traces(process), 3601)) == expected
+
+
+@pytest.mark.parametrize("kinds", [KINDS, ("prec",), ("resp",), ("succ",)], ids="-".join)
+@given(data=st.data())
+def test_trace_listings_match_the_heap_merge_referee(kinds, data):
+    process = data.draw(processes(kinds))
+    expected = list(merged_traces(process))
+    assert list(iter_traces(process)) == expected
+    names = process.names()
+    printed = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.proc"
+        path.write_text(process_text(process), encoding="utf-8")
+        for fmt in ("text", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["traces", "--format", fmt, str(path)]) == 0
+            printed[fmt] = out.getvalue()
+    assert printed["text"] == "\n".join(_text(names, expected)) + "\n"
+    assert printed["json"] == json.dumps([[names[i] for i in t] for t in expected]) + "\n"
+
+
+def test_lazy_trace_lines_hold_no_line_list():
+    # The text lines of 8 unconstrained activities: as a list they take
+    # about 8 MiB; streamed, only the placed sets, their moves and one
+    # prefix per depth stay alive.
+    process = make_process([f"a{i}" for i in range(8)])
+    tracemalloc.start()
+    try:
+        emitted = sum(1 for _ in _trace_lines(process, "text"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emitted == 109_601
+    assert peak < 2 << 20
+
+
+def test_short_trace_lines_come_before_layer_three_is_built(monkeypatch):
+    # 60 unconstrained activities: the 3601 traces of length at most 2 need
+    # the placed sets of size at most 2 only, as tuples and as lines.
+    built = []
+
+    def counted(component, graphs):
+        for layer in _layers(component, graphs):
+            built.append(len(layer))
+            yield layer
+
+    monkeypatch.setattr(sys.modules["decltrace.traces"], "_layers", counted)
+    names = [f"a{i}" for i in range(60)]
+    process = make_process(names)
+    short = [t for k in range(3) for t in permutations(range(60), k)]
+    assert list(islice(iter_traces(process), 3601)) == short
+    assert built == [1, 60, 1770]
+    built.clear()
+    lines = list(islice(_trace_lines(process, "text"), 3601))
+    assert lines == ["-"] + [" ".join(names[i] for i in t) for t in short[1:]]
+    assert built == [1, 60, 1770]
 
 
 @st.composite
@@ -441,17 +503,26 @@ def or_rows(rows, mask):
 def test_kept_placed_sets_are_the_trace_prefix_sets(process):
     # A placed set is kept exactly when some trace starts with its
     # activities, its ways are the orderings that start one, and its barred
-    # mask is what must come before any of them.
+    # mask is what must come before any of them.  Once the pass is over,
+    # its placeable mask holds the x that some trace places right after it.
     graphs = _graphs(process)
     pred = graphs[4]
     kept = {}
+    states = {}
     for layer in _layers((1 << process.n) - 1, graphs):
-        for placed, (ways, *_, barred) in layer.items():
+        for placed, state in layer.items():
+            ways, *_, barred = state
             assert barred == or_rows(pred, placed)
             kept[placed] = ways
+            states[placed] = state
     oracle = brute_force_traces(process)
     prefixes = {trace[:k] for trace in oracle for k in range(len(trace) + 1)}
     assert kept == Counter(_mask(prefix) for prefix in prefixes)
+    moves = dict.fromkeys(kept, 0)
+    for trace in oracle:
+        for k, x in enumerate(trace):
+            moves[_mask(trace[:k])] |= 1 << x
+    assert {placed: state[2] for placed, state in states.items()} == moves
 
 
 def test_count_equals_enumeration_on_the_acceptance_batch(instance_batch):

@@ -24,6 +24,7 @@ from decltrace import (
     traces_response_only,
     traces_successor_only,
 )
+from decltrace.cli import _text, _trace_lines
 from decltrace.possim import PossimContext, _walk
 from decltrace.relations import _bits
 from decltrace.traces import _components, _graphs, _layers
@@ -34,6 +35,7 @@ from support import (
     example_mixed_three,
     example_prec_six,
     example_three_chainish,
+    merged_traces,
     random_process,
     random_wide_process,
     words,
@@ -260,6 +262,22 @@ class TestPlacedSetDP:
         assert kept == [0]
         assert count_by_length(p) == [1]
 
+    def test_one_sort_per_unplaced_rest(self, monkeypatch):
+        # Placing x0 or x1 forces y and z, which must each come before the
+        # other: two forced sets, but one unplaced rest {y, z} to sort.
+        module = sys.modules["decltrace.traces"]
+        sort = module._topological_order
+        sorted_sets = []
+
+        def counted(members, succ, pred):
+            sorted_sets.append(members)
+            return sort(members, succ, pred)
+
+        monkeypatch.setattr(module, "_topological_order", counted)
+        p = parse_process("activities x0 x1 y z\nresp x0 y\nresp x1 y\nprec y z\nprec z y")
+        assert count_by_length(p) == [1]
+        assert sorted_sets == [0b1100]
+
     def test_a_live_activity_can_still_make_a_dead_set(self):
         # {a, c} is dead: a forces b, which must come before c.
         p = make_process("abc", [("resp", "a", "b"), ("resp", "b", "c")])
@@ -335,3 +353,7 @@ def test_placed_set_pass_matches_the_subset_referee(seed):
     }
     shown = 50_000 if sum(referee.count_by_length()) <= 50_000 else 1_000
     assert list(islice(iter_traces(process), shown)) == list(islice(referee.traces(), shown))
+    # The heap merge of per-image extensions shares the pass but not the search.
+    merged = list(islice(merged_traces(process), 1_000))
+    assert list(islice(iter_traces(process), 1_000)) == merged
+    assert list(islice(_trace_lines(process, "text"), 1_000)) == list(_text(process.names(), merged))
