@@ -3,9 +3,11 @@
 A declarative process pairs an activity alphabet with precedence, response,
 and successor constraints; its traces are the duplicate-free activity
 sequences violating none of them.  The library computes the full trace set
-by enumerating the realizable trace images (down-sets of the occurrence
-preorder with an antisymmetric internal order) and generating the linear
-extensions of each image poset, merged lazily by length.
+from the realizable trace images (down-sets of the occurrence preorder with
+an antisymmetric internal order): every trace is a linear extension of one
+image.  One search over the live sets of activities placed so far, in
+ascending index order per length, yields every trace sorted by length then
+index, with nothing sorted or merged afterwards.
 """
 
 from .linext import (

@@ -30,6 +30,8 @@ EXIT_TOO_LARGE = 3
 
 MISMATCH_SHOWN = 5  # traces listed per side of a failed ``check``
 WRITE_BATCH = 4096  # items per write of a listing
+# The (separator, head, tail) that ``_write`` frames a ``traces`` listing in, per --format.
+FRAMES = {"text": ("\n", "", "\n"), "json": (", ", "[", "]\n")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser("traces", help="print every trace in (length, index) order")
     cmd.add_argument("file", help="process description file")
-    cmd.add_argument("--format", choices=("text", "json"), default="text")
+    cmd.add_argument("--format", choices=tuple(FRAMES), default="text")
     cmd.add_argument(
         "--parallel",
         action="store_true",
@@ -127,24 +129,14 @@ def _trace_lines(process: DeclarativeProcess, fmt: str) -> Iterator[str]:
     return _listing(process, ([name + " " for name in names], names, "", "-"))
 
 
-def _run_traces(process: DeclarativeProcess, fmt: str) -> int:
-    lines = _trace_lines(process, fmt)
-    if fmt == "json":
-        _write(lines, ", ", "[", "]\n")
-    else:
-        _write(lines, "\n", "", "\n")
-    return EXIT_OK
-
-
-def _run_possim(process: DeclarativeProcess) -> int:
+def _possim_lines(process: DeclarativeProcess) -> Iterator[str]:
+    """The ``possim`` listing's lines: each image, then its order's pairs ``v<w``."""
     names = process.names()
-    lines = (
+    return (
         "{" + ",".join([names[v] for v in image]) + "}"
         + "".join([f" {names[v]}<{names[w]}" for v in image if upper[v] for w in _bits(upper[v])])
         for _, image, _, _, upper in _images(process)
     )
-    _write(lines, "\n", "", "\n")
-    return EXIT_OK
 
 
 def _run_check(process: DeclarativeProcess) -> int:
@@ -184,20 +176,20 @@ def _verdict(process: DeclarativeProcess, trace: Trace) -> str:
 
 def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
     if args.command == "traces":
-        return _run_traces(process, args.format)
-    if args.command == "count":
+        _write(_trace_lines(process, args.format), *FRAMES[args.format])
+    elif args.command == "count":
         if args.by_length:
             counts = enumerate(count_by_length(process))
             _write((f"{length} {_digits(count)}" for length, count in counts), "\n", "", "\n")
         else:
             print(_digits(count_traces(process)))
-        return EXIT_OK
-    if args.command == "possim":
-        return _run_possim(process)
-    if args.command == "classify":
+    elif args.command == "possim":
+        _write(_possim_lines(process), "\n", "", "\n")
+    elif args.command == "classify":
         print(classify(process).value)
-        return EXIT_OK
-    return _run_check(process)
+    else:
+        return _run_check(process)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,13 +13,15 @@ class Poset(_Record):
     """A finite poset over global activity indices.
 
     ``order`` must be reflexive, transitive, and antisymmetric on
-    ``elements``, which must lie in its ground set; the empty poset is allowed.
+    ``elements``, which must lie in its ground set and among its members; the
+    empty poset is allowed.
     """
 
     __slots__ = ("elements", "order")
 
     def __init__(self, elements: frozenset[int], order: BinaryRelation) -> None:
-        _within(elements, order.n)
+        if _mask(_within(elements, order.n)) & ~order.members:
+            raise ValueError("elements outside the order's members")
         _Record.__init__(self, elements, order)
 
 
@@ -134,6 +136,10 @@ def restrict_extension(trace: Trace, subset: Iterable[int]) -> Trace:
 
 
 def induced_subposet(poset: Poset, subset: Iterable[int]) -> Poset:
-    """The poset on ``subset`` with comparabilities inherited unchanged."""
-    keep = frozenset(subset) & poset.elements
+    """The poset on ``subset`` with comparabilities inherited unchanged.
+
+    Indices of the ground set outside ``poset.elements`` are dropped; any
+    outside the ground set are rejected.
+    """
+    keep = frozenset(_within(subset, poset.order.n)) & poset.elements
     return Poset(keep, restrict(poset.order, keep))

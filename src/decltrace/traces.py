@@ -329,13 +329,12 @@ def count_by_length(process: DeclarativeProcess) -> list[int]:
     for component in components:
         if component.bit_count() == 1:
             continue
-        counts: list[int] = []
-        for layer in _layers(component, graphs):
-            for placed, (ways, forced, *_) in layer.items():
-                if forced == placed:
-                    size = placed.bit_count()
-                    counts.extend([0] * (size + 1 - len(counts)))
-                    counts[size] += ways
+        # Layer L holds the sets of size L.  A kept set with no kept child
+        # is finished, so the last layer ends at the longest trace.
+        counts = [
+            sum(ways for placed, (ways, forced, *_) in layer.items() if forced == placed)
+            for layer in _layers(component, graphs)
+        ]
         total = _shuffle_counts(total, counts)
     return total
 

@@ -67,11 +67,6 @@ def words(process: DeclarativeProcess, traces: list[Trace]) -> list[str]:
     return ["".join(names[i] for i in t) for t in traces]
 
 
-def members_word(process: DeclarativeProcess, members) -> str:
-    names = process.names()
-    return "".join(names[i] for i in sorted(members))
-
-
 def random_process(
     rng: random.Random,
     kinds: tuple[str, ...] = KINDS,

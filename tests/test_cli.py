@@ -385,17 +385,19 @@ def test_writing_into_a_full_device_exits_one_quietly(tmp_path):
 
 
 def test_early_close_of_stdout_exits_zero_quietly(tmp_path):
-    # Both outputs are far more than a pipe holds, so the writer meets the
+    # Every output is far more than a pipe holds, so the writer meets the
     # closed read end: seven unconstrained activities print 13,700 traces,
-    # about 170 KB, and thirteen have 8192 images, about 120 KB.
+    # about 170 KB, thirteen have 8192 images, about 120 KB, and 1,500 have
+    # counts per length of up to 4,000 digits, about 3 MB.
     path = tmp_path / "p.proc"
     for command, names, first_line in (
-        ("traces", "a b c d e f g", b"-\n"),
-        ("possim", "a b c d e f g h i j k l m", b"{}\n"),
+        (["traces"], "a b c d e f g", b"-\n"),
+        (["possim"], "a b c d e f g h i j k l m", b"{}\n"),
+        (["count", "--by-length"], " ".join(f"a{i}" for i in range(1500)), b"0 1\n"),
     ):
         path.write_text(f"activities {names}\n", encoding="utf-8")
         child = subprocess.Popen(
-            [sys.executable, "-m", "decltrace", command, str(path)],
+            [sys.executable, "-m", "decltrace", *command, str(path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

@@ -51,6 +51,10 @@ class TestLinearExtensions:
         for elements in ({0, 1, 5, 6}, {-1, 0}):
             with pytest.raises(ValueError, match="outside the ground set"):
                 Poset(frozenset(elements), order)
+        # In the ground set but not among the members, 2 would count as free.
+        narrow = closure(BinaryRelation.from_pairs(3, [(0, 1)], members={0, 1}))
+        with pytest.raises(ValueError, match="outside the order's members"):
+            Poset(frozenset({0, 1, 2}), narrow)
 
     def test_matches_permutation_filter(self):
         rng = random.Random(97)
@@ -124,6 +128,12 @@ class TestRestriction:
         assert sub.elements == frozenset({1, 2, 3})
         assert sub.order.has(1, 2) and sub.order.has(1, 3)
         assert not sub.order.has(2, 3)
+
+    def test_induced_subposet_rejects_indices_outside_the_ground_set(self):
+        pair = poset_from_pairs(2, [(0, 1)])
+        for subset in ([1, 5], [-1]):
+            with pytest.raises(ValueError, match="outside the ground set"):
+                induced_subposet(pair, subset)
 
     def test_restricted_extensions_cover_the_subposet(self):
         rng = random.Random(107)
