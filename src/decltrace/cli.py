@@ -17,7 +17,7 @@ from .model import DeclarativeProcess, ParseError, Trace, classify, parse_proces
 from .oracle import SizeLimitError, brute_force_traces
 from .possim import _images
 from .relations import _bits
-from .traces import _listing, count_by_length, count_traces, traces
+from .traces import BLOCK, _listing, count_by_length, count_traces, traces
 
 # bench/tracing.py looks this name up on this module to wrap it in a timing
 # span, so it stays importable here although nothing here calls it.
@@ -29,7 +29,7 @@ EXIT_MISMATCH = 2
 EXIT_TOO_LARGE = 3
 
 MISMATCH_SHOWN = 5  # traces listed per side of a failed ``check``
-WRITE_BATCH = 4096  # items per write of a listing
+WRITE_BATCH = 4096  # lines per write of a listing
 # The (separator, head, tail) that ``_write`` frames a ``traces`` listing in, per --format.
 FRAMES = {"text": ("\n", "", "\n"), "json": (", ", "[", "]\n")}
 
@@ -94,15 +94,20 @@ def _text(names: tuple[str, ...], traces: Iterable[Trace]) -> Iterator[str]:
     return (" ".join([names[i] for i in t]) if t else "-" for t in traces)
 
 
-def _write(items: Iterator[str], sep: str, head: str, tail: str) -> None:
+def _write(
+    items: Iterator[str], sep: str, head: str, tail: str, per_write: int = WRITE_BATCH
+) -> None:
     """Write ``head``, the items joined by ``sep``, then ``tail``.
 
-    The items are joined and written ``WRITE_BATCH`` at a time, so a listing
-    is never held whole and a reader sees its first lines early.
+    The items are joined and written ``per_write`` at a time, so a listing
+    is never held whole and a reader sees its first lines early.  An item
+    is one line, or for ``traces`` a block of at most ``BLOCK`` lines, which
+    passes ``WRITE_BATCH // BLOCK``; either way no write holds more than
+    ``WRITE_BATCH`` lines.
     """
     sys.stdout.write(head)
     gap = ""
-    while batch := list(islice(items, WRITE_BATCH)):
+    while batch := list(islice(items, per_write)):
         sys.stdout.write(gap + sep.join(batch))
         gap = sep
     sys.stdout.write(tail)
@@ -119,14 +124,20 @@ def _digits(n: int) -> str:
 
 
 def _trace_lines(process: DeclarativeProcess, fmt: str) -> Iterator[str]:
-    """The ``traces`` listing's lines, one per trace, each built from its parent's prefix."""
+    """The ``traces`` listing in blocks of lines joined by the format's separator.
+
+    Each block holds the lines of the traces through one placed set of at
+    most ``BLOCK`` completions, or the empty trace's line (``_listing``).
+    """
     names = process.names()
+    sep = FRAMES[fmt][0]
     if fmt == "json":
         # The bytes of json.dumps on the whole list; a valid name matches
         # [A-Za-z0-9_]+, so json.dumps only quotes it.
         quoted = ['"' + name + '"' for name in names]
-        return _listing(process, ([q + ", " for q in quoted], [q + "]" for q in quoted], "[", "[]"))
-    return _listing(process, ([name + " " for name in names], names, "", "-"))
+        pieces = (["[" + q for q in quoted], [", " + q for q in quoted])
+        return _listing(process, (*pieces, sep, "]", "[]"))
+    return _listing(process, (names, [" " + name for name in names], sep, "", "-"))
 
 
 def _possim_lines(process: DeclarativeProcess) -> Iterator[str]:
@@ -176,7 +187,7 @@ def _verdict(process: DeclarativeProcess, trace: Trace) -> str:
 
 def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
     if args.command == "traces":
-        _write(_trace_lines(process, args.format), *FRAMES[args.format])
+        _write(_trace_lines(process, args.format), *FRAMES[args.format], WRITE_BATCH // BLOCK)
     elif args.command == "count":
         if args.by_length:
             counts = enumerate(count_by_length(process))

@@ -17,8 +17,11 @@ of size L keeps, on their ancestors only, the moves that still reach one,
 and a depth-first search from the empty set, taking moves in ascending x,
 yields the length-L traces in order.  Nothing is sorted or merged, and
 memory follows the layers up to L and their moves, not the number of
-traces.  The same search builds the CLI's lines, each from its parent's
-prefix.
+traces.  For the CLI's lines, the backward pass, which reaches every
+ancestor after its children, also builds the completions of each ancestor
+with at most ``BLOCK`` of them as strings; the search stops at such a set
+and prints every line through it with one ``str.join``, as the
+constant-amortized-time generators of Pruesse and Ruskey share suffixes.
 
 Counting runs one pass per connected component of the constraint graph.
 Components share no constraint, so every trace is a shuffle of one trace
@@ -45,6 +48,8 @@ from .relations import _bits, _graphs, implied_occurrence
 from .linext import count_linear_extensions, linear_extensions  # noqa: F401
 from .possim import enumerate_possim  # noqa: F401
 
+BLOCK = 64  # most completions of a placed set whose lines are built once and joined
+
 
 def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) -> None:
     if any(c.kind is not kind for c in process.constraints):
@@ -61,26 +66,46 @@ def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
 
 
 def _listing(
-    process: DeclarativeProcess, text: tuple[Sequence[str], Sequence[str], str, str] | None = None
+    process: DeclarativeProcess,
+    text: tuple[Sequence[str], Sequence[str], str, str, str] | None = None,
 ) -> Iterator:
-    """Every trace in (length, index) order: as a tuple, or as a line of ``text``.
+    """Every trace in (length, index) order: as a tuple, or in blocks of lines of ``text``.
 
-    ``text`` is (inner, last, head, empty).  A trace's line is ``head``,
-    then ``inner[x]`` for each of its activities but the last, then
-    ``last[x]`` for the last one; the empty trace's line is ``empty``.  Each
-    line is its parent's prefix plus one piece, so no trace is joined anew.
+    ``text`` is (first, rest, sep, close, empty).  A trace's line is
+    ``first[x]`` for its first activity, ``rest[x]`` for each later one,
+    then ``close``: each piece carries its leading separator, so a
+    completion is one concatenation.  The empty trace's line is ``empty``.
+    An item is a block: the lines of consecutive traces, joined by ``sep``.
+
+    For each length, the backward pass gives every ancestor its number of
+    completions, 1 for a finished set and otherwise the sum over its kept
+    moves, and to an ancestor of at most ``BLOCK`` also those completions
+    as strings, built from its kept children's.  The search descends only
+    through sets of more, and yields a child of at most ``BLOCK`` as one
+    block, ``prefix + (sep + prefix).join(completions)``.  A set's strings
+    are replaced or dropped when a later length's pass reaches it, not all
+    at once when a length ends: freed at once, a long chain's strings gave
+    the heap back to the system, and faulting it in again made a
+    1000-activity chain's lines 1.7 times slower.
+
     A tuple is built once, at the leaf, from the running path: built by
     concatenation, a long chain's tuples would cost the square of their
     length each.
     """
+    block = BLOCK
+    if text is not None:
+        first, rest, sep, close, empty = text
+        ends = [close]
     graphs = _graphs(process)
     # A node stands for one live placed set: [its live moves as (x, child
     # node), the nodes that move to it, the last length L it was found to
-    # reach a finished set of, its moves that reach one of size L].  The
-    # passes per length follow these links, hashing no placed set.
+    # reach a finished set of, its moves that reach one of size L, its
+    # number of completions to length L, and when that is at most BLOCK,
+    # those completions as strings].  The passes per length follow these
+    # links, hashing no placed set.
     above: list[tuple[int, list, list]] = []  # (placed, state, node) of the layer above
     for size, layer in enumerate(_layers((1 << process.n) - 1, graphs)):
-        nodes = {placed: [[], [], -1, None] for placed in layer}
+        nodes = {placed: [[], [], -1, None, 0, None] for placed in layer}
         # The live moves out of the layer above, which its states' placeable
         # masks hold once this layer is built.
         for placed, state, node in above:
@@ -96,15 +121,19 @@ def _listing(
         finished = [nodes[placed] for placed, state in layer.items() if state[1] == placed]
         if not size:
             root = nodes[0]
-            yield () if text is None else text[3]
+            yield () if text is None else empty
             continue
         if not finished:
             continue
         # Mark the ancestors of this size's finished sets, then keep, on
         # them only, the moves that reach one; an ancestor with one move
-        # reaches one through it.
+        # reaches one through it.  The queue holds them layer by layer,
+        # from this size down, so every node follows its kept children.
         for node in finished:
             node[2] = size
+            if text is not None:
+                node[4] = 1
+                node[5] = ends
         first_ancestor = len(finished)
         queue = finished
         for node in queue:
@@ -114,38 +143,64 @@ def _listing(
                     queue.append(parent)
         for node in queue[first_ancestor:]:
             moves = node[0]
-            node[3] = moves if len(moves) == 1 else [move for move in moves if move[1][2] == size]
-        if text is not None:
-            inner, last, head, _ = text
-        if size == 1:
+            kept = moves if len(moves) == 1 else [move for move in moves if move[1][2] == size]
+            node[3] = kept
             if text is None:
-                yield from ((x,) for x, _ in root[3])
+                continue
+            if len(kept) == 1:
+                x, child = kept[0]
+                count = child[4]
+                if count == 1:
+                    node[4] = 1
+                    node[5] = [rest[x] + child[5][0]]
+                    continue
             else:
-                yield from (head + last[x] for x, _ in root[3])
+                count = 0
+                for _, child in kept:
+                    count += child[4]
+            node[4] = count
+            node[5] = (
+                [rest[x] + s for x, child in kept for s in child[5]] if count <= block else None
+            )
+        if text is not None:
+            # The search descends through nodes of more than BLOCK
+            # completions only; values[d] is the line prefix of the path's
+            # first d activities.  The root's strings are never read: its
+            # children's lines begin with ``first``.
+            values = [""] * size
+            stack = [iter(root[3])]
+            while stack:
+                depth = len(stack) - 1
+                prefix = values[depth]
+                pieces = rest if depth else first
+                for x, child in stack[-1]:
+                    line = prefix + pieces[x]
+                    if child[4] > block:
+                        values[depth + 1] = line
+                        stack.append(iter(child[3]))
+                        break
+                    yield line + (sep + line).join(child[5])
+                else:
+                    stack.pop()
             continue
-        # values[d] is the path's d-th activity, or for lines the prefix of
-        # its first d activities; a stack entry is one depth's untried moves.
-        values = [0] * size if text is None else [head] * size
+        if size == 1:
+            yield from ((x,) for x, _ in root[3])
+            continue
+        # values[d] is the path's d-th activity; a stack entry is one
+        # depth's untried moves.
+        values = [0] * size
         bottom = size - 2
         stack = [iter(root[3])]
         while stack:
             depth = len(stack) - 1
             for x, child in stack[-1]:
-                if text is None:
-                    values[depth] = x
-                else:
-                    values[depth + 1] = values[depth] + inner[x]
+                values[depth] = x
                 if depth < bottom:
                     stack.append(iter(child[3]))
                     break
-                if text is None:
-                    for y, _ in child[3]:
-                        values[-1] = y
-                        yield tuple(values)
-                else:
-                    prefix = values[-1]
-                    for y, _ in child[3]:
-                        yield prefix + last[y]
+                for y, _ in child[3]:
+                    values[-1] = y
+                    yield tuple(values)
             else:
                 stack.pop()
 

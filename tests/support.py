@@ -4,9 +4,9 @@ oracles, and random instance generators."""
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from heapq import merge
-from itertools import permutations
+from itertools import chain, permutations
 
 from decltrace import (
     BinaryRelation,
@@ -236,3 +236,9 @@ def merged_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     for layer in _layers((1 << process.n) - 1, graphs):
         images = [placed for placed, (_, forced, *_) in layer.items() if forced == placed]
         yield from merge(*(_extensions(image, graphs[3]) for image in images))
+
+
+def text_lines(blocks: Iterable[str]) -> Iterator[str]:
+    """The lines of ``cli._trace_lines(process, "text")``, whose items are
+    blocks of lines joined by newlines; read lazily, block by block."""
+    return chain.from_iterable(block.split("\n") for block in blocks)

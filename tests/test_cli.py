@@ -58,6 +58,26 @@ class TestTraces:
         assert payload == json.dumps(expected) + "\n"
         assert json.loads(payload) == expected
 
+    def test_writes_hold_more_than_one_batch_of_lines_at_most(self, proc_file, monkeypatch):
+        # Seven unconstrained activities: 13,700 lines, written in blocks of
+        # at most BLOCK lines; the frame's head and tail are writes of their own.
+        path = proc_file("activities " + " ".join(f"a{i}" for i in range(7)) + "\n")
+        for fmt, lines_in in (
+            ("text", lambda chunk: chunk.count("\n") + (not chunk.startswith("\n"))),
+            ("json", lambda chunk: chunk.count("]")),
+        ):
+            writes = []
+            write = sys.stdout.write
+            monkeypatch.setattr(
+                sys.stdout, "write", lambda chunk: writes.append(chunk) or write(chunk)
+            )
+            assert main(["traces", "--format", fmt, path]) == 0
+            monkeypatch.undo()
+            counts = [lines_in(chunk) for chunk in writes[1:-1]]
+            assert sum(counts) == 13_700
+            assert len(counts) > 1
+            assert max(counts) <= cli.WRITE_BATCH
+
     def test_only_the_empty_trace(self, proc_file, capsys):
         path = proc_file("activities a b\nprec a b\nprec b a\n")
         assert main(["traces", path]) == 0

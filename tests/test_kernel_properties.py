@@ -64,6 +64,7 @@ from support import (
     compliant_permutations,
     example_split_class,
     merged_traces,
+    text_lines,
 )
 
 MAX_N = 7
@@ -224,13 +225,8 @@ def test_short_traces_come_before_the_long_images_are_found():
     assert list(islice(iter_traces(process), 3601)) == expected
 
 
-@pytest.mark.parametrize("kinds", [KINDS, ("prec",), ("resp",), ("succ",)], ids="-".join)
-@given(data=st.data())
-def test_trace_listings_match_the_heap_merge_referee(kinds, data):
-    process = data.draw(processes(kinds))
-    expected = list(merged_traces(process))
-    assert list(iter_traces(process)) == expected
-    names = process.names()
+def traces_stdout(process) -> dict[str, str]:
+    """The stdout of ``decltrace traces`` on ``process``, per format."""
     printed = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.proc"
@@ -240,18 +236,53 @@ def test_trace_listings_match_the_heap_merge_referee(kinds, data):
             with contextlib.redirect_stdout(out):
                 assert main(["traces", "--format", fmt, str(path)]) == 0
             printed[fmt] = out.getvalue()
+    return printed
+
+
+@pytest.mark.parametrize("kinds", [KINDS, ("prec",), ("resp",), ("succ",)], ids="-".join)
+@given(data=st.data())
+def test_trace_listings_match_the_heap_merge_referee(kinds, data):
+    process = data.draw(processes(kinds))
+    expected = list(merged_traces(process))
+    assert list(iter_traces(process)) == expected
+    names = process.names()
+    printed = traces_stdout(process)
+    assert printed["text"] == "\n".join(_text(names, expected)) + "\n"
+    assert printed["json"] == json.dumps([[names[i] for i in t] for t in expected]) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+@given(process=processes())
+# The placed set {a} has exactly 64 completions to length 5.
+@example(
+    process=make_process("abcdefg", [("resp", "b", "d"), ("prec", "e", "g"), ("resp", "c", "d")])
+)
+# The placed set {d} has exactly 65 completions to length 6.
+@example(
+    process=make_process(
+        "abcdefg", [("succ", "d", "f"), ("prec", "g", "c"), ("succ", "e", "c"), ("prec", "e", "b")]
+    )
+)
+def test_trace_blocks_match_the_heap_merge_referee(block, process):
+    # Sets of at most BLOCK completions print their lines in one block, the
+    # search descends through the others; every split prints the same bytes.
+    expected = list(merged_traces(process))
+    names = process.names()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["decltrace.traces"], "BLOCK", block)
+        printed = traces_stdout(process)
     assert printed["text"] == "\n".join(_text(names, expected)) + "\n"
     assert printed["json"] == json.dumps([[names[i] for i in t] for t in expected]) + "\n"
 
 
 def test_lazy_trace_lines_hold_no_line_list():
     # The text lines of 8 unconstrained activities: as a list they take
-    # about 8 MiB; streamed, only the placed sets, their moves and one
-    # prefix per depth stay alive.
+    # about 8 MiB; streamed, only the placed sets, their moves, one prefix
+    # per depth and the completions of sets of at most BLOCK stay alive.
     process = make_process([f"a{i}" for i in range(8)])
     tracemalloc.start()
     try:
-        emitted = sum(1 for _ in _trace_lines(process, "text"))
+        emitted = sum(block.count("\n") + 1 for block in _trace_lines(process, "text"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -276,7 +307,7 @@ def test_short_trace_lines_come_before_layer_three_is_built(monkeypatch):
     assert list(islice(iter_traces(process), 3601)) == short
     assert built == [1, 60, 1770]
     built.clear()
-    lines = list(islice(_trace_lines(process, "text"), 3601))
+    lines = list(islice(text_lines(_trace_lines(process, "text")), 3601))
     assert lines == ["-"] + [" ".join(names[i] for i in t) for t in short[1:]]
     assert built == [1, 60, 1770]
 

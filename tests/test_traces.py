@@ -38,6 +38,7 @@ from support import (
     merged_traces,
     random_process,
     random_wide_process,
+    text_lines,
     words,
 )
 
@@ -321,10 +322,16 @@ class TestPlacedSetDP:
         try:
             by_length = count_by_length(p)
             first = list(islice(iter_traces(p), 10))
+            # One completion per placed set: each line is one block, built
+            # from its set's completions without recursion.
+            text_items = list(islice(_trace_lines(p, "text"), 10))
+            json_items = list(islice(_trace_lines(p, "json"), 10))
         finally:
             sys.setrecursionlimit(limit)
         assert by_length == [1] * (n + 1)
         assert first == [tuple(range(k)) for k in range(10)]
+        assert text_items == ["-"] + [" ".join(names[:k]) for k in range(1, 10)]
+        assert json_items == ["[" + ", ".join(f'"{a}"' for a in names[:k]) + "]" for k in range(10)]
         assert count_traces(p) == n + 1
 
 
@@ -356,4 +363,5 @@ def test_placed_set_pass_matches_the_subset_referee(seed):
     # The heap merge of per-image extensions shares the pass but not the search.
     merged = list(islice(merged_traces(process), 1_000))
     assert list(islice(iter_traces(process), 1_000)) == merged
-    assert list(islice(_trace_lines(process, "text"), 1_000)) == list(_text(process.names(), merged))
+    lines = text_lines(_trace_lines(process, "text"))
+    assert list(islice(lines, 1_000)) == list(_text(process.names(), merged))
