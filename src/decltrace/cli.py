@@ -131,13 +131,17 @@ def _trace_lines(process: DeclarativeProcess, fmt: str) -> Iterator[str]:
     """
     names = process.names()
     sep = FRAMES[fmt][0]
+
+    def block(prefix: str, lines: list[str]) -> str:
+        return prefix + (sep + prefix).join(lines)
+
     if fmt == "json":
         # The bytes of json.dumps on the whole list; a valid name matches
         # [A-Za-z0-9_]+, so json.dumps only quotes it.
         quoted = ['"' + name + '"' for name in names]
         pieces = (["[" + q for q in quoted], [", " + q for q in quoted])
-        return _listing(process, (*pieces, sep, "]", "[]"))
-    return _listing(process, (names, [" " + name for name in names], sep, "", "-"))
+        return _listing(process, *pieces, "]", "[]", "".join, block)
+    return _listing(process, names, [" " + name for name in names], "", "-", "".join, block)
 
 
 def _possim_lines(process: DeclarativeProcess) -> Iterator[str]:

@@ -133,6 +133,8 @@ def is_partial_order(rel: BinaryRelation) -> bool:
 
 def hasse_pairs(rel: BinaryRelation) -> list[tuple[int, int]]:
     """Cover pairs of a partial order: (i, j) with nothing strictly between."""
+    if not is_partial_order(rel):
+        raise ValueError("relation is not a partial order")
     strict = [rel.rows[i] & ~(1 << i) for i in range(rel.n)]
     covers = []
     for i in rel.member_indices():

@@ -17,11 +17,13 @@ of size L keeps, on their ancestors only, the moves that still reach one,
 and a depth-first search from the empty set, taking moves in ascending x,
 yields the length-L traces in order.  Nothing is sorted or merged, and
 memory follows the layers up to L and their moves, not the number of
-traces.  For the CLI's lines, the backward pass, which reaches every
-ancestor after its children, also builds the completions of each ancestor
-with at most ``BLOCK`` of them as strings; the search stops at such a set
-and prints every line through it with one ``str.join``, as the
-constant-amortized-time generators of Pruesse and Ruskey share suffixes.
+traces.  The backward pass, which reaches every ancestor after its
+children, also counts each ancestor's completions and builds those of
+ancestors with at most ``BLOCK`` of them, as tuples for ``iter_traces`` or
+as the CLI's line endings; the search stops at such a set and hands on all
+its traces at once, a block, which the CLI prints with one ``str.join``.
+So one search serves both, and suffixes are shared as in the
+constant-amortized-time generators of Pruesse and Ruskey.
 
 Counting runs one pass per connected component of the constraint graph.
 Components share no constraint, so every trace is a shuffle of one trace
@@ -35,7 +37,8 @@ the mapping of constraint kinds to edges.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from math import comb
 
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
@@ -48,7 +51,7 @@ from .relations import _bits, _graphs, implied_occurrence
 from .linext import count_linear_extensions, linear_extensions  # noqa: F401
 from .possim import enumerate_possim  # noqa: F401
 
-BLOCK = 64  # most completions of a placed set whose lines are built once and joined
+BLOCK = 64  # most completions of a placed set that are built once and handed on as one block
 
 
 def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) -> None:
@@ -59,50 +62,72 @@ def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) 
 def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     """Every trace, sorted by length then activity index, one at a time.
 
-    Memory follows the live placed sets up to the current length and their
-    moves, not the number of traces.
+    Read from the blocks of ``_listing``, the search that also makes the
+    CLI's lines, with each activity as a 1-tuple piece.  Memory follows the
+    live placed sets up to the current length, their moves and the
+    completions of sets with at most ``BLOCK`` of them, not the number of
+    traces.
     """
-    return _listing(process)
+    pieces = [(x,) for x in range(process.n)]
+    return chain.from_iterable(_listing(process, pieces, pieces, (), (), _flatten, _extend))
+
+
+def _flatten(pieces: Iterable[Trace]) -> Trace:
+    return tuple(chain.from_iterable(pieces))
+
+
+def _extend(prefix: Trace, completions: list[Trace]) -> Iterator[Trace]:
+    return map(prefix.__add__, completions)
 
 
 def _listing(
-    process: DeclarativeProcess,
-    text: tuple[Sequence[str], Sequence[str], str, str, str] | None = None,
+    process: DeclarativeProcess, first: Sequence, rest: Sequence, close, empty, join, emit
 ) -> Iterator:
-    """Every trace in (length, index) order: as a tuple, or in blocks of lines of ``text``.
+    """Every trace in (length, index) order, as one ``emit(prefix, completions)`` per block.
 
-    ``text`` is (first, rest, sep, close, empty).  A trace's line is
-    ``first[x]`` for its first activity, ``rest[x]`` for each later one,
-    then ``close``: each piece carries its leading separator, so a
-    completion is one concatenation.  The empty trace's line is ``empty``.
-    An item is a block: the lines of consecutive traces, joined by ``sep``.
+    A trace is ``first[x]`` for its first activity, ``rest[x]`` for each
+    later one, then ``close``; the empty trace is ``empty``.  The pieces are
+    strings or tuples, and ``join`` makes one piece of a sequence of them.
+    A block's traces are ``prefix + c`` for each c of its completions, in
+    order; ``emit`` makes the caller's item of them, such as their lines
+    joined by a separator, in one call per block.
 
     For each length, the backward pass gives every ancestor its number of
     completions, 1 for a finished set and otherwise the sum over its kept
-    moves, and to an ancestor of at most ``BLOCK`` also those completions
-    as strings, built from its kept children's.  The search descends only
-    through sets of more, and yields a child of at most ``BLOCK`` as one
-    block, ``prefix + (sep + prefix).join(completions)``.  A set's strings
-    are replaced or dropped when a later length's pass reaches it, not all
-    at once when a length ends: freed at once, a long chain's strings gave
-    the heap back to the system, and faulting it in again made a
-    1000-activity chain's lines 1.7 times slower.
-
-    A tuple is built once, at the leaf, from the running path: built by
-    concatenation, a long chain's tuples would cost the square of their
-    length each.
+    moves.  A finished set stores its one completion, ``close``, and a set
+    of two or more kept moves and at most ``BLOCK`` completions stores them,
+    built from its kept children's.  A set of one kept move stores nothing:
+    on first use, its completions are built from those of the set that
+    ends its run of single moves, with the run's pieces joined once, and
+    kept on it for the rest of the length.  So a long forced run costs one
+    join per length, not one concatenation per level.  The search descends
+    only through sets of more than ``BLOCK`` completions and emits every
+    other child as one block.  A set's completions are replaced when a later
+    length's pass reaches it, not all freed when a length ends: freed at
+    once, a long chain's strings gave the heap back to the system, and
+    faulting it in again made a 1000-activity chain's lines 1.7 times slower.
     """
     block = BLOCK
-    if text is not None:
-        first, rest, sep, close, empty = text
-        ends = [close]
+    ends = [close]
+    zero = join(())  # the empty prefix
+
+    def completions(node: list) -> list:
+        # Those of a set of one kept move: the run's pieces, then the end's.
+        run = []
+        end = node
+        while (done := end[5]) is None:
+            x, end = end[3][0]
+            run.append(rest[x])
+        head = join(run)
+        node[5] = done = [head + c for c in done]
+        return done
+
     graphs = _graphs(process)
     # A node stands for one live placed set: [its live moves as (x, child
     # node), the nodes that move to it, the last length L it was found to
     # reach a finished set of, its moves that reach one of size L, its
-    # number of completions to length L, and when that is at most BLOCK,
-    # those completions as strings].  The passes per length follow these
-    # links, hashing no placed set.
+    # number of completions to length L, and those completions once built].
+    # The passes per length follow these links, hashing no placed set.
     above: list[tuple[int, list, list]] = []  # (placed, state, node) of the layer above
     for size, layer in enumerate(_layers((1 << process.n) - 1, graphs)):
         nodes = {placed: [[], [], -1, None, 0, None] for placed in layer}
@@ -121,7 +146,7 @@ def _listing(
         finished = [nodes[placed] for placed, state in layer.items() if state[1] == placed]
         if not size:
             root = nodes[0]
-            yield () if text is None else empty
+            yield emit(zero, [empty])
             continue
         if not finished:
             continue
@@ -131,9 +156,8 @@ def _listing(
         # from this size down, so every node follows its kept children.
         for node in finished:
             node[2] = size
-            if text is not None:
-                node[4] = 1
-                node[5] = ends
+            node[4] = 1
+            node[5] = ends
         first_ancestor = len(finished)
         queue = finished
         for node in queue:
@@ -145,62 +169,33 @@ def _listing(
             moves = node[0]
             kept = moves if len(moves) == 1 else [move for move in moves if move[1][2] == size]
             node[3] = kept
-            if text is None:
-                continue
+            node[5] = None
             if len(kept) == 1:
-                x, child = kept[0]
-                count = child[4]
-                if count == 1:
-                    node[4] = 1
-                    node[5] = [rest[x] + child[5][0]]
-                    continue
-            else:
-                count = 0
-                for _, child in kept:
-                    count += child[4]
+                node[4] = kept[0][1][4]
+                continue
+            count = 0
+            for _, child in kept:
+                count += child[4]
             node[4] = count
-            node[5] = (
-                [rest[x] + s for x, child in kept for s in child[5]] if count <= block else None
-            )
-        if text is not None:
-            # The search descends through nodes of more than BLOCK
-            # completions only; values[d] is the line prefix of the path's
-            # first d activities.  The root's strings are never read: its
-            # children's lines begin with ``first``.
-            values = [""] * size
-            stack = [iter(root[3])]
-            while stack:
-                depth = len(stack) - 1
-                prefix = values[depth]
-                pieces = rest if depth else first
-                for x, child in stack[-1]:
-                    line = prefix + pieces[x]
-                    if child[4] > block:
-                        values[depth + 1] = line
-                        stack.append(iter(child[3]))
-                        break
-                    yield line + (sep + line).join(child[5])
-                else:
-                    stack.pop()
-            continue
-        if size == 1:
-            yield from ((x,) for x, _ in root[3])
-            continue
-        # values[d] is the path's d-th activity; a stack entry is one
-        # depth's untried moves.
-        values = [0] * size
-        bottom = size - 2
+            if count <= block:
+                node[5] = [rest[x] + c for x, child in kept for c in child[5] or completions(child)]
+        # The search descends through nodes of more than BLOCK completions
+        # only; values[d] is the prefix of the path's first d activities.
+        # The root's completions are never read: its children's begin with
+        # ``first``.
+        values = [zero] * size
         stack = [iter(root[3])]
         while stack:
             depth = len(stack) - 1
+            prefix = values[depth]
+            pieces = rest if depth else first
             for x, child in stack[-1]:
-                values[depth] = x
-                if depth < bottom:
+                head = prefix + pieces[x]
+                if child[4] > block:
+                    values[depth + 1] = head
                     stack.append(iter(child[3]))
                     break
-                for y, _ in child[3]:
-                    values[-1] = y
-                    yield tuple(values)
+                yield emit(head, child[5] or completions(child))
             else:
                 stack.pop()
 

@@ -204,8 +204,9 @@ def test_lazy_traces_are_the_oracle_traces(kinds, data):
 
 def test_lazy_traces_hold_no_trace_list():
     # 8 unconstrained activities: 109,601 traces from 256 images.  As a list
-    # the traces take about 10 MiB; streamed, only one layer of placed sets
-    # and one extension generator per image of the current size stay alive.
+    # the traces take about 10 MiB; streamed, only the placed sets, their
+    # moves, one prefix per depth and the completions of sets of at most
+    # BLOCK stay alive.
     process = make_process([f"a{i}" for i in range(8)])
     tracemalloc.start()
     try:
@@ -239,8 +240,43 @@ def traces_stdout(process) -> dict[str, str]:
     return printed
 
 
+def chain_into(length: int, tail: str, constraints=()):
+    """A ``prec`` chain c0 -> ... of ``length`` activities, then the
+    single-letter activities of ``tail``, each only after the chain's last
+    activity, under ``constraints`` among themselves.  The chain's placed
+    sets have one move each, so their completions are built by walking the
+    run to the set of the whole chain."""
+    chain = [f"c{i}" for i in range(length)]
+    links = [("prec", a, b) for a, b in zip(chain, chain[1:])]
+    return make_process(
+        chain + list(tail), links + [("prec", chain[-1], t) for t in tail] + list(constraints)
+    )
+
+
+# A run into a fan-out of 4 leaves; the whole chain has 4, 12, 24 and 24
+# completions to the lengths past it.
+LONG_RUN = chain_into(40, "abcd")
+# Runs that end at the whole chain: it has exactly 64 completions to
+# length 14 in the first, exactly 65 to length 14 in the second.
+RUN_TO_64 = chain_into(10, "abcdef", [("prec", "d", "c"), ("prec", "e", "b"), ("prec", "e", "f")])
+RUN_TO_65 = chain_into(10, "abcdef", [("resp", "b", "a"), ("prec", "f", "e"), ("resp", "b", "e")])
+
+
+class Drawn:
+    """Stands in for ``st.data()`` in an explicit example: every draw gives ``value``."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 @pytest.mark.parametrize("kinds", [KINDS, ("prec",), ("resp",), ("succ",)], ids="-".join)
 @given(data=st.data())
+@example(data=Drawn(LONG_RUN))
+@example(data=Drawn(RUN_TO_64))
+@example(data=Drawn(RUN_TO_65))
 def test_trace_listings_match_the_heap_merge_referee(kinds, data):
     process = data.draw(processes(kinds))
     expected = list(merged_traces(process))
@@ -263,14 +299,19 @@ def test_trace_listings_match_the_heap_merge_referee(kinds, data):
         "abcdefg", [("succ", "d", "f"), ("prec", "g", "c"), ("succ", "e", "c"), ("prec", "e", "b")]
     )
 )
+@example(process=LONG_RUN)
+@example(process=RUN_TO_64)
+@example(process=RUN_TO_65)
 def test_trace_blocks_match_the_heap_merge_referee(block, process):
-    # Sets of at most BLOCK completions print their lines in one block, the
-    # search descends through the others; every split prints the same bytes.
+    # Sets of at most BLOCK completions make one block, the search descends
+    # through the others; every split gives the same tuples and bytes.
     expected = list(merged_traces(process))
     names = process.names()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys.modules["decltrace.traces"], "BLOCK", block)
+        listed = list(iter_traces(process))
         printed = traces_stdout(process)
+    assert listed == expected
     assert printed["text"] == "\n".join(_text(names, expected)) + "\n"
     assert printed["json"] == json.dumps([[names[i] for i in t] for t in expected]) + "\n"
 

@@ -134,6 +134,17 @@ class TestBasicOperations:
         rel = closure(BinaryRelation.from_pairs(3, [(0, 1), (1, 2)]))
         assert hasse_pairs(rel) == [(0, 1), (1, 2)]
 
+    def test_hasse_pairs_reject_a_cycle(self):
+        rel = closure(BinaryRelation.from_pairs(2, [(0, 1), (1, 0)]))
+        with pytest.raises(ValueError, match="^relation is not a partial order$"):
+            hasse_pairs(rel)
+
+    def test_hasse_pairs_reject_an_unclosed_relation(self):
+        # Closed, (0, 3) would not be a cover: 1 and 2 lie between.
+        rel = BinaryRelation.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(ValueError, match="^relation is not a partial order$"):
+            hasse_pairs(rel)
+
 
 class TestImpliedOccurrence:
     def test_mixed_three_is_a_chain(self):

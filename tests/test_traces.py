@@ -334,6 +334,21 @@ class TestPlacedSetDP:
         assert json_items == ["[" + ", ".join(f'"{a}"' for a in names[:k]) + "]" for k in range(10)]
         assert count_traces(p) == n + 1
 
+    def test_long_chain_traces_end_with_the_whole_chain(self):
+        # Every placed set of a chain has one move, so each length's one
+        # trace is built by walking the run from the first activity.
+        n = 1000
+        names = [f"a{i}" for i in range(n)]
+        p = make_process(names, [("prec", names[i], names[i + 1]) for i in range(n - 1)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            listed = list(iter_traces(p))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(listed) == n + 1
+        assert listed[-1] == tuple(range(n))
+
 
 @pytest.mark.parametrize("seed", range(30))
 def test_placed_set_pass_matches_the_subset_referee(seed):
