@@ -19,7 +19,8 @@ class Poset(_Record):
 
     __slots__ = ("elements", "order")
 
-    def __init__(self, elements: frozenset[int], order: BinaryRelation) -> None:
+    def __init__(self, elements: Iterable[int], order: BinaryRelation) -> None:
+        elements = frozenset(elements)
         if _mask(_within(elements, order.n)) & ~order.members:
             raise ValueError("elements outside the order's members")
         _Record.__init__(self, elements, order)

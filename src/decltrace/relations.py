@@ -43,7 +43,8 @@ def _bits(mask: int) -> Iterator[int]:
 class BinaryRelation(_Record):
     __slots__ = ("n", "rows", "members")
 
-    def __init__(self, n: int, rows: tuple[int, ...], members: int) -> None:
+    def __init__(self, n: int, rows: Iterable[int], members: int) -> None:
+        rows = tuple(rows)
         if n < 0:
             raise ValueError(f"ground-set size {n} is negative")
         if members & ~((1 << n) - 1):

@@ -22,8 +22,9 @@ children, also counts each ancestor's completions and builds those of
 ancestors with at most ``BLOCK`` of them, as tuples for ``iter_traces`` or
 as the CLI's line endings; the search stops at such a set and hands on all
 its traces at once, a block, which the CLI prints with one ``str.join``.
-So one search serves both, and suffixes are shared as in the
-constant-amortized-time generators of Pruesse and Ruskey.
+The empty set is never such a block, since the search starts from its
+moves, and it stores none.  So one search serves both, and suffixes are
+shared as in the constant-amortized-time generators of Pruesse and Ruskey.
 
 Counting runs one pass per connected component of the constraint graph.
 Components share no constraint, so every trace is a shuffle of one trace
@@ -95,17 +96,24 @@ def _listing(
     For each length, the backward pass gives every ancestor its number of
     completions, 1 for a finished set and otherwise the sum over its kept
     moves.  A finished set stores its one completion, ``close``, and a set
-    of two or more kept moves and at most ``BLOCK`` completions stores them,
-    built from its kept children's.  A set of one kept move stores nothing:
-    on first use, its completions are built from those of the set that
-    ends its run of single moves, with the run's pieces joined once, and
-    kept on it for the rest of the length.  So a long forced run costs one
-    join per length, not one concatenation per level.  The search descends
-    only through sets of more than ``BLOCK`` completions and emits every
-    other child as one block.  A set's completions are replaced when a later
-    length's pass reaches it, not all freed when a length ends: freed at
-    once, a long chain's strings gave the heap back to the system, and
-    faulting it in again made a 1000-activity chain's lines 1.7 times slower.
+    other than the empty set, of two or more kept moves and at most
+    ``BLOCK`` completions, stores them, built from its kept children's.
+    The empty set stores nothing, since the search starts from its kept
+    moves and never emits it as a block.  A set of one kept move stores
+    nothing either: on first use, its completions are built from those of
+    the set that ends its run of single moves, with the run's pieces joined
+    once, and kept on it for the rest of the length.  So a long forced run
+    costs one join per length, not one concatenation per level.
+
+    The search descends only through sets of more than ``BLOCK``
+    completions and emits every other child as one block.  Each frame of
+    its stack holds a set's kept moves still to take, the prefix of the
+    path to it and the pieces of its next activity: ``first`` in the
+    root's frame, ``rest`` in every other.  A set's completions are
+    replaced when a later length's pass reaches it, not all freed when a
+    length ends: freed at once, a long chain's strings gave the heap back
+    to the system, and faulting it in again made a 1000-activity chain's
+    lines 1.7 times slower.
     """
     block = BLOCK
     ends = [close]
@@ -177,23 +185,17 @@ def _listing(
             for _, child in kept:
                 count += child[4]
             node[4] = count
-            if count <= block:
+            if count <= block and node is not root:
                 node[5] = [rest[x] + c for x, child in kept for c in child[5] or completions(child)]
         # The search descends through nodes of more than BLOCK completions
-        # only; values[d] is the prefix of the path's first d activities.
-        # The root's completions are never read: its children's begin with
-        # ``first``.
-        values = [zero] * size
-        stack = [iter(root[3])]
+        # only; a frame is (kept moves still to take, prefix, pieces).
+        stack = [(iter(root[3]), zero, first)]
         while stack:
-            depth = len(stack) - 1
-            prefix = values[depth]
-            pieces = rest if depth else first
-            for x, child in stack[-1]:
+            moves, prefix, pieces = stack[-1]
+            for x, child in moves:
                 head = prefix + pieces[x]
                 if child[4] > block:
-                    values[depth + 1] = head
-                    stack.append(iter(child[3]))
+                    stack.append((iter(child[3]), head, rest))
                     break
                 yield emit(head, child[5] or completions(child))
             else:

@@ -129,6 +129,11 @@ class TestRestriction:
         assert sub.order.has(1, 2) and sub.order.has(1, 3)
         assert not sub.order.has(2, 3)
 
+    def test_induced_subposet_of_a_poset_built_from_a_list(self):
+        sub = induced_subposet(Poset([0, 1, 2, 3], FENCE.order), [1, 2, 3])
+        assert sub == induced_subposet(FENCE, {1, 2, 3})
+        assert sub.elements == frozenset({1, 2, 3})
+
     def test_induced_subposet_rejects_indices_outside_the_ground_set(self):
         pair = poset_from_pairs(2, [(0, 1)])
         for subset in ([1, 5], [-1]):

@@ -147,3 +147,20 @@ def test_values_survive_pickle_and_copy(cls, fields, changed, text):
 def test_process_constraints_default_to_empty():
     assert DeclarativeProcess(activities=(A, B)).constraints == ()
     assert DeclarativeProcess((A, B)) == DeclarativeProcess((A, B), ())
+
+
+def test_rows_and_elements_are_stored_as_a_tuple_and_a_frozenset():
+    rows = [3, 2]
+    listed = BinaryRelation(2, rows, 3)
+    assert listed == ORDER and hash(listed) == hash(ORDER)
+    assert listed.rows == (3, 2) and type(listed.rows) is tuple
+    rows[0] = 1
+    assert listed == ORDER and listed.rows == (3, 2)
+    empty = BinaryRelation(2, (0, 0), 3)
+    assert BinaryRelation(2, [0, 0], 3) == empty
+    assert len({BinaryRelation(2, [0, 0], 3), empty}) == 1
+    from_set = Poset({0, 1}, ORDER)
+    assert from_set == Poset(frozenset({0, 1}), ORDER)
+    assert hash(from_set) == hash(Poset(frozenset({0, 1}), ORDER))
+    assert type(from_set.elements) is frozenset
+    assert Poset([1, 0, 1], ORDER) == from_set
