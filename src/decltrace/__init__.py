@@ -43,7 +43,7 @@ from .possim import (
     is_independent,
     max_elements,
 )
-from .quotient import QuotientPoset, condense, expand_downset
+from .possim import QuotientPoset, condense, expand_downset
 from .relations import (
     BinaryRelation,
     closure,

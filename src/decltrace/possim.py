@@ -1,8 +1,13 @@
-"""Enumeration of the possible trace images of a process.
+"""Trace images of a process, and the class quotient they are down-sets of.
 
 A subset of the alphabet is realizable as the image of some trace exactly
 when it is a down-set of the occurrence preorder whose induced ordering law
 is antisymmetric.  Each such image is certified here as a ``DownSet``.
+
+Activities that force each other form one class, and the preorder induces a
+partial order on its classes: ``condense`` builds that ``QuotientPoset``, and
+``expand_downset`` maps a down-set of classes to the down-set of activities
+it covers, a bijection between the down-sets of the two levels.
 
 Enumeration walks a lexicographic tree of antichains of mutual-forcing
 classes, each class walked as its smallest activity (the generator sets form
@@ -15,9 +20,6 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 
 from .model import DeclarativeProcess, _Record
-# bench/tracing.py looks this name up on this module to wrap it in a timing
-# span, so it stays importable here although nothing here calls it.
-from .quotient import condense  # noqa: F401
 from .relations import (
     BinaryRelation,
     _bits,
@@ -26,6 +28,7 @@ from .relations import (
     closure,
     implied_occurrence,
     is_antisymmetric,
+    is_preorder,
     order_preserving,
     restrict,
     transpose,
@@ -50,9 +53,25 @@ class DownSet(_Record):
     __slots__ = ("members", "order", "generator")
 
     def __init__(
-        self, members: frozenset[int], order: BinaryRelation, generator: frozenset[int]
+        self, members: Iterable[int], order: BinaryRelation, generator: Iterable[int]
     ) -> None:
-        _Record.__init__(self, members, order, generator)
+        _Record.__init__(self, frozenset(members), order, frozenset(generator))
+
+
+class QuotientPoset(_Record):
+    """Mutual-reachability classes of a preorder with the induced order.
+
+    Classes are numbered by their smallest member, which fixes a
+    deterministic ordering for everything downstream.  ``class_of`` maps an
+    activity index to its class index (-1 outside the ground subset).
+    """
+
+    __slots__ = ("classes", "order", "class_of")
+
+    def __init__(
+        self, classes: Iterable[Iterable[int]], order: BinaryRelation, class_of: Iterable[int]
+    ) -> None:
+        _Record.__init__(self, tuple(frozenset(c) for c in classes), order, tuple(class_of))
 
 
 class PossimContext(_Record):
@@ -90,6 +109,56 @@ def downward_closure(subset: Iterable[int], preorder: BinaryRelation) -> frozens
     return frozenset(
         x for x in preorder.member_indices() if any(preorder.has(x, y) for y in targets)
     )
+
+
+def condense(pre: BinaryRelation) -> QuotientPoset:
+    """Collapse mutually reachable elements; the result order is a partial order.
+
+    In a preorder i and j are mutually reachable exactly when their rows are
+    equal, so the classes are the groups of equal rows.
+    """
+    if not is_preorder(pre):
+        raise ValueError("relation is not a preorder")
+    class_of = [-1] * pre.n
+    class_by_row: dict[int, int] = {}
+    groups: list[list[int]] = []
+    reps = 0  # smallest member of each class, as a mask
+    for i in pre.member_indices():
+        c = class_by_row.setdefault(pre.rows[i], len(groups))
+        if c == len(groups):
+            groups.append([])
+            reps |= 1 << i
+        groups[c].append(i)
+        class_of[i] = c
+    rows = []
+    for group in groups:
+        row = 0
+        for j in _bits(pre.rows[group[0]] & reps):
+            row |= 1 << class_of[j]
+        rows.append(row)
+    k = len(groups)
+    order = BinaryRelation(k, tuple(rows), (1 << k) - 1)
+    return QuotientPoset(groups, order, class_of)
+
+
+def expand_downset(quotient: QuotientPoset, class_downset: Iterable[int]) -> frozenset[int]:
+    """Union the member activities of a down-set of classes.
+
+    This map is a bijection between down-sets of the quotient and down-sets
+    of the original preorder.
+    """
+    chosen = set(class_downset)
+    k = len(quotient.classes)
+    for c in chosen:
+        if not 0 <= c < k:
+            raise ValueError(f"no class with index {c}")
+        for d in range(k):
+            if quotient.order.has(d, c) and d not in chosen:
+                raise ValueError("not a down-set of the quotient")
+    out: set[int] = set()
+    for c in chosen:
+        out |= quotient.classes[c]
+    return frozenset(out)
 
 
 def is_independent(
@@ -216,5 +285,5 @@ def enumerate_possim(process: DeclarativeProcess) -> list[DownSet]:
         for v in elements:
             reach[v] |= 1 << v
         order = BinaryRelation(process.n, tuple(reach), members)
-        found.append(DownSet(frozenset(elements), order, frozenset(_bits(generator))))
+        found.append(DownSet(elements, order, _bits(generator)))
     return found

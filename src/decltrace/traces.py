@@ -43,8 +43,7 @@ from itertools import chain
 from math import comb
 
 from .model import ConstraintKind, DeclarativeProcess, ProcessClass, Trace, classify
-from .possim import _topological_order
-from .quotient import condense
+from .possim import _topological_order, condense
 from .relations import _bits, _graphs, implied_occurrence
 
 # bench/tracing.py looks these names up on this module to wrap them in timing

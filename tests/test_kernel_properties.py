@@ -13,6 +13,8 @@ finished sets of the placed-set pass are checked against the possim walk's
 images, and all its kept sets against the prefix sets of the oracle's
 traces.  The ``possim`` command's bytes are
 checked against lines built from ``enumerate_possim`` and ``hasse_pairs``.
+On single-kind processes ``maximum_image`` is checked against the union of
+the walk's images.
 """
 
 import contextlib
@@ -48,6 +50,7 @@ from decltrace import (
     iter_traces,
     linear_extensions,
     make_process,
+    maximum_image,
     order_preserving,
     restrict,
     traces,
@@ -438,6 +441,16 @@ def test_condense_classes_are_mutual_reachability(rel):
     for a, group_a in enumerate(quotient.classes):
         for b, group_b in enumerate(quotient.classes):
             assert quotient.order.has(a, b) == pre.has(min(group_a), min(group_b))
+
+
+@pytest.mark.parametrize("kind", ["prec", "resp"])
+@given(data=st.data())
+def test_maximum_image_is_the_union_of_the_images(kind, data):
+    process = data.draw(processes(kinds=(kind,)))
+    images = [image.members for image in enumerate_possim(process)]
+    largest = maximum_image(process)
+    assert largest == frozenset().union(*images)
+    assert largest in images
 
 
 def naive_covers(order: BinaryRelation) -> list[tuple[int, int]]:

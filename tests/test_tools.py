@@ -1,8 +1,8 @@
 import runpy
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-code_lines = runpy.run_path(str(TOOL))["code_lines"]
+ROOT = Path(__file__).resolve().parent.parent
+code_lines = runpy.run_path(str(ROOT / "tools" / "code_lines.py"))["code_lines"]
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
@@ -27,3 +27,12 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
     )
     # import, class, def, the two lines of text, and the three of return
     assert code_lines(module) == 8
+
+
+def test_bench_call_sites_resolve():
+    # bench/tracing.py wraps these names by attribute; a renamed or dropped
+    # one would otherwise surface only in a traced bench run.
+    tracing = runpy.run_path(str(ROOT / "bench" / "tracing.py"))
+    for module, attr, _, _ in tracing["CALL_SITES"]:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    assert isinstance(tracing["possim"].PossimContext.__dict__["of"], classmethod)

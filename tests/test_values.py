@@ -164,3 +164,19 @@ def test_rows_and_elements_are_stored_as_a_tuple_and_a_frozenset():
     assert hash(from_set) == hash(Poset(frozenset({0, 1}), ORDER))
     assert type(from_set.elements) is frozenset
     assert Poset([1, 0, 1], ORDER) == from_set
+
+
+def test_image_and_quotient_fields_are_stored_as_frozensets_and_tuples():
+    from_sets = DownSet({0}, POINT, [0])
+    image = DownSet(frozenset({0}), POINT, frozenset({0}))
+    assert from_sets == image and hash(from_sets) == hash(image)
+    assert type(from_sets.members) is frozenset and type(from_sets.generator) is frozenset
+    class_of = [0, 0]
+    listed = QuotientPoset([{0, 1}], POINT, class_of)
+    quotient = QuotientPoset((frozenset({0, 1}),), POINT, (0, 0))
+    assert listed == quotient and hash(listed) == hash(quotient)
+    assert len({listed, quotient}) == 1
+    assert type(listed.classes) is tuple and type(listed.classes[0]) is frozenset
+    assert type(listed.class_of) is tuple
+    class_of[1] = -1
+    assert listed == quotient and listed.class_of == (0, 0)
