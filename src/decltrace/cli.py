@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse or validation error or output that cannot
-be written, 2 pipeline/oracle mismatch, 3 ground set too large for the
-oracle.
+Exit codes: 0 success, 1 parse or validation error, output that cannot be
+written or memory run out, 2 pipeline/oracle mismatch, 3 ground set too
+large for the oracle, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_TOO_LARGE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command stopped by Ctrl-C
 
 MISMATCH_SHOWN = 5  # traces listed per side of a failed ``check``
 WRITE_BATCH = 4096  # lines per write of a listing
@@ -126,22 +127,20 @@ def _digits(n: int) -> str:
 def _trace_lines(process: DeclarativeProcess, fmt: str) -> Iterator[str]:
     """The ``traces`` listing in blocks of lines joined by the format's separator.
 
-    Each block holds the lines of the traces through one placed set of at
-    most ``BLOCK`` completions, or the empty trace's line (``_listing``).
+    One item per ``(prefix, line endings)`` block of ``_listing``: the empty
+    trace's line, then the lines of the traces through each placed set of
+    at most ``BLOCK`` completions, made with one ``str.join``.
     """
     names = process.names()
-    sep = FRAMES[fmt][0]
-
-    def block(prefix: str, lines: list[str]) -> str:
-        return prefix + (sep + prefix).join(lines)
-
+    pieces = names, [" " + name for name in names], "", "-"
     if fmt == "json":
         # The bytes of json.dumps on the whole list; a valid name matches
         # [A-Za-z0-9_]+, so json.dumps only quotes it.
         quoted = ['"' + name + '"' for name in names]
-        pieces = (["[" + q for q in quoted], [", " + q for q in quoted])
-        return _listing(process, *pieces, "]", "[]", "".join, block)
-    return _listing(process, names, [" " + name for name in names], "", "-", "".join, block)
+        pieces = ["[" + q for q in quoted], [", " + q for q in quoted], "]", "[]"
+    sep = FRAMES[fmt][0]
+    blocks = _listing(process, *pieces, "".join)
+    return (prefix + (sep + prefix).join(lines) for prefix, lines in blocks)
 
 
 def _possim_lines(process: DeclarativeProcess) -> Iterator[str]:
@@ -220,22 +219,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(args, process)
         sys.stdout.flush()  # a closed reader or a full disk shows up here, not at exit
+        return code
     except BrokenPipeError:
         # The reader stopped early, as ``decltrace traces file | head`` does.
-        _discard_stdout()
-        return EXIT_OK
+        error, code = "", EXIT_OK
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _discard_stdout()
-        return EXIT_INVALID
-    return code
-
-
-def _discard_stdout() -> None:
-    """Point stdout at /dev/null: Python flushes it again at exit."""
+        error, code = f"error: {exc}\n", EXIT_INVALID
+    except MemoryError:
+        error, code = "error: out of memory\n", EXIT_INVALID
+    except KeyboardInterrupt:
+        error, code = "error: interrupted\n", EXIT_INTERRUPTED
+    # Reported past the except block: its traceback held the frames of the
+    # search, and so the layers, which are freed by now.
+    sys.stderr.write(error)
+    # Point stdout at /dev/null: Python flushes it again at exit.
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

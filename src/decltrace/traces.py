@@ -19,9 +19,10 @@ yields the length-L traces in order.  Nothing is sorted or merged, and
 memory follows the layers up to L and their moves, not the number of
 traces.  The backward pass, which reaches every ancestor after its
 children, also counts each ancestor's completions and builds those of
-ancestors with at most ``BLOCK`` of them, as tuples for ``iter_traces`` or
-as the CLI's line endings; the search stops at such a set and hands on all
-its traces at once, a block, which the CLI prints with one ``str.join``.
+ancestors with at most ``BLOCK`` of them, as tuples or as the CLI's line
+endings.  The search stops at such a set and yields all its traces at once,
+a block: the path's prefix and the set's completions, which the CLI joins
+into lines with one ``str.join`` and ``iter_traces`` turns into tuples.
 The empty set is never such a block, since the search starts from its
 moves, and it stores none.  So one search serves both, and suffixes are
 shared as in the constant-amortized-time generators of Pruesse and Ruskey.
@@ -51,12 +52,7 @@ from .relations import _bits, _graphs, implied_occurrence
 from .linext import count_linear_extensions, linear_extensions  # noqa: F401
 from .possim import enumerate_possim  # noqa: F401
 
-BLOCK = 64  # most completions of a placed set that are built once and handed on as one block
-
-
-def _require_only(process: DeclarativeProcess, kind: ConstraintKind, path: str) -> None:
-    if any(c.kind is not kind for c in process.constraints):
-        raise ValueError(f"{path} path needs a constraint set of {kind.value} constraints only")
+BLOCK = 64  # most completions of a placed set that are built once and yielded as one block
 
 
 def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
@@ -69,28 +65,26 @@ def iter_traces(process: DeclarativeProcess) -> Iterator[Trace]:
     traces.
     """
     pieces = [(x,) for x in range(process.n)]
-    return chain.from_iterable(_listing(process, pieces, pieces, (), (), _flatten, _extend))
+    blocks = _listing(process, pieces, pieces, (), (), _flatten)
+    return chain.from_iterable(map(prefix.__add__, ends) for prefix, ends in blocks)
 
 
 def _flatten(pieces: Iterable[Trace]) -> Trace:
     return tuple(chain.from_iterable(pieces))
 
 
-def _extend(prefix: Trace, completions: list[Trace]) -> Iterator[Trace]:
-    return map(prefix.__add__, completions)
-
-
 def _listing(
-    process: DeclarativeProcess, first: Sequence, rest: Sequence, close, empty, join, emit
-) -> Iterator:
-    """Every trace in (length, index) order, as one ``emit(prefix, completions)`` per block.
+    process: DeclarativeProcess, first: Sequence, rest: Sequence, close, empty, join
+) -> Iterator[tuple]:
+    """Every trace in (length, index) order, in blocks of ``(prefix, completions)``.
 
     A trace is ``first[x]`` for its first activity, ``rest[x]`` for each
     later one, then ``close``; the empty trace is ``empty``.  The pieces are
     strings or tuples, and ``join`` makes one piece of a sequence of them.
     A block's traces are ``prefix + c`` for each c of its completions, in
-    order; ``emit`` makes the caller's item of them, such as their lines
-    joined by a separator, in one call per block.
+    order.  The first block is the empty trace's, ``(join(()), [empty])``;
+    every later one has a non-empty prefix and from 1 to ``BLOCK``
+    completions.
 
     For each length, the backward pass gives every ancestor its number of
     completions, 1 for a finished set and otherwise the sum over its kept
@@ -98,14 +92,14 @@ def _listing(
     other than the empty set, of two or more kept moves and at most
     ``BLOCK`` completions, stores them, built from its kept children's.
     The empty set stores nothing, since the search starts from its kept
-    moves and never emits it as a block.  A set of one kept move stores
+    moves and never yields it as a block.  A set of one kept move stores
     nothing either: on first use, its completions are built from those of
     the set that ends its run of single moves, with the run's pieces joined
     once, and kept on it for the rest of the length.  So a long forced run
     costs one join per length, not one concatenation per level.
 
     The search descends only through sets of more than ``BLOCK``
-    completions and emits every other child as one block.  Each frame of
+    completions and yields every other child as one block.  Each frame of
     its stack holds a set's kept moves still to take, the prefix of the
     path to it and the pieces of its next activity: ``first`` in the
     root's frame, ``rest`` in every other.  A set's completions are
@@ -114,7 +108,6 @@ def _listing(
     to the system, and faulting it in again made a 1000-activity chain's
     lines 1.7 times slower.
     """
-    block = BLOCK
     ends = [close]
     zero = join(())  # the empty prefix
 
@@ -153,7 +146,7 @@ def _listing(
         finished = [nodes[placed] for placed, state in layer.items() if state[1] == placed]
         if not size:
             root = nodes[0]
-            yield emit(zero, [empty])
+            yield zero, [empty]
             continue
         if not finished:
             continue
@@ -184,7 +177,7 @@ def _listing(
             for _, child in kept:
                 count += child[4]
             node[4] = count
-            if count <= block and node is not root:
+            if count <= BLOCK and node is not root:
                 node[5] = [rest[x] + c for x, child in kept for c in child[5] or completions(child)]
         # The search descends through nodes of more than BLOCK completions
         # only; a frame is (kept moves still to take, prefix, pieces).
@@ -193,10 +186,10 @@ def _listing(
             moves, prefix, pieces = stack[-1]
             for x, child in moves:
                 head = prefix + pieces[x]
-                if child[4] > block:
+                if child[4] > BLOCK:
                     stack.append((iter(child[3]), head, rest))
                     break
-                yield emit(head, child[5] or completions(child))
+                yield head, child[5] or completions(child)
             else:
                 stack.pop()
 
@@ -231,22 +224,26 @@ def maximum_image(process: DeclarativeProcess) -> frozenset[int]:
     return frozenset(_bits(occurrence.members & ~above))
 
 
+def _only(process: DeclarativeProcess, kind: ConstraintKind, path: str) -> list[Trace]:
+    """``traces_general(process)`` for a process of ``kind`` constraints only."""
+    if any(c.kind is not kind for c in process.constraints):
+        raise ValueError(f"{path} path needs a constraint set of {kind.value} constraints only")
+    return traces_general(process)
+
+
 def traces_precedence_only(process: DeclarativeProcess) -> list[Trace]:
     """The traces of a precedence-only constraint set; rejects other kinds."""
-    _require_only(process, ConstraintKind.PRECEDENCE, "precedence-only")
-    return traces_general(process)
+    return _only(process, ConstraintKind.PRECEDENCE, "precedence-only")
 
 
 def traces_response_only(process: DeclarativeProcess) -> list[Trace]:
     """The traces of a response-only constraint set; rejects other kinds."""
-    _require_only(process, ConstraintKind.RESPONSE, "response-only")
-    return traces_general(process)
+    return _only(process, ConstraintKind.RESPONSE, "response-only")
 
 
 def traces_successor_only(process: DeclarativeProcess) -> list[Trace]:
     """The traces of a successor-only constraint set; rejects other kinds."""
-    _require_only(process, ConstraintKind.SUCCESSOR, "successor-only")
-    return traces_general(process)
+    return _only(process, ConstraintKind.SUCCESSOR, "successor-only")
 
 
 def _components(graphs: tuple[list[int], ...]) -> list[int]:

@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -313,6 +315,61 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
+    @pytest.mark.parametrize(
+        "raised, code, line",
+        [(MemoryError, 1, "error: out of memory\n"), (KeyboardInterrupt, 130, "error: interrupted\n")],
+    )
+    @pytest.mark.parametrize("command, name", [("count", "count_traces"), ("traces", "_listing")])
+    def test_memory_and_interrupt_exit_with_one_line(
+        self, proc_file, tmp_path, capsys, monkeypatch, raised, code, line, command, name
+    ):
+        def fail(*args):
+            raise raised
+
+        path = proc_file(MIXED_THREE)
+        monkeypatch.setattr(cli, name, fail)
+        # Backed by a real file, as stdout is, so its descriptor can be redirected.
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main([command, path]) == code
+            monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err == line
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_reported_once_the_search_is_freed(
+        self, proc_file, tmp_path, monkeypatch
+    ):
+        # The traceback of a MemoryError holds the search's frames, and they
+        # hold its layers: the report is written only once those are gone.
+        class Layers:
+            pass
+
+        held = []
+        freed_at_report = []
+
+        def listing(*args):
+            layers = Layers()
+            held.append(weakref.ref(layers))
+            raise MemoryError
+            yield
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                freed_at_report.append(held[0]() is None)
+                return super().write(text)
+
+        path = proc_file(MIXED_THREE)
+        monkeypatch.setattr(cli, "_listing", listing)
+        stderr = Stderr()
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert main(["traces", path]) == 1
+            monkeypatch.undo()
+        assert stderr.getvalue() == "error: out of memory\n"
+        assert freed_at_report == [True]
+
     def test_one_process_per_run(self, proc_file, monkeypatch):
         # The parse builds the only process; the pipeline reads succ as it is.
         built = []
@@ -402,6 +459,29 @@ def test_writing_into_a_full_device_exits_one_quietly(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+def test_interrupt_exits_130_quietly(tmp_path):
+    # Twelve unconstrained activities have about 1.3e9 traces, so the
+    # listing is still running when the first line has been read.
+    path = tmp_path / "p.proc"
+    path.write_text("activities " + " ".join(f"a{i}" for i in range(12)) + "\n", encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "decltrace", "traces", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert child.stdout.readline() == b"-\n"
+        child.send_signal(signal.SIGINT)
+        # Its one stderr line fits in the pipe, so it can exit unread.
+        assert child.wait(timeout=60) == 130
+        stderr = child.stderr.read()
+    finally:
+        child.kill()
+        child.stdout.close()
+        child.stderr.close()
+    assert stderr == b"error: interrupted\n"
 
 
 def test_early_close_of_stdout_exits_zero_quietly(tmp_path):

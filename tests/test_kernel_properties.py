@@ -59,7 +59,7 @@ from decltrace.cli import WRITE_BATCH, _text, _trace_lines, main
 from decltrace.linext import _count, _extensions
 from decltrace.possim import _topological_order, _walk
 from decltrace.relations import _bits, _mask
-from decltrace.traces import _graphs, _layers
+from decltrace.traces import _flatten, _graphs, _layers, _listing
 from support import (
     KINDS,
     LETTERS,
@@ -308,12 +308,19 @@ def test_trace_listings_match_the_heap_merge_referee(kinds, data):
 def test_trace_blocks_match_the_heap_merge_referee(block, process):
     # Sets of at most BLOCK completions make one block, the search descends
     # through the others; every split gives the same tuples and bytes.
+    # After the empty trace's, every block has a prefix and from 1 to BLOCK
+    # completions: the CLI's WRITE_BATCH // BLOCK blocks per write rely on it.
     expected = list(merged_traces(process))
     names = process.names()
+    pieces = [(x,) for x in range(process.n)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys.modules["decltrace.traces"], "BLOCK", block)
+        blocks = list(_listing(process, pieces, pieces, (), (), _flatten))
         listed = list(iter_traces(process))
         printed = traces_stdout(process)
+    assert blocks[0] == ((), [()])
+    assert all(prefix and 1 <= len(ends) <= block for prefix, ends in blocks[1:])
+    assert [prefix + end for prefix, ends in blocks for end in ends] == expected
     assert listed == expected
     assert printed["text"] == "\n".join(_text(names, expected)) + "\n"
     assert printed["json"] == json.dumps([[names[i] for i in t] for t in expected]) + "\n"

@@ -27,7 +27,7 @@ from decltrace import (
 from decltrace.cli import _text, _trace_lines
 from decltrace.possim import PossimContext, _walk
 from decltrace.relations import _bits
-from decltrace.traces import _components, _extend, _flatten, _graphs, _layers, _listing
+from decltrace.traces import _components, _flatten, _graphs, _layers, _listing
 from support import (
     KINDS,
     SubsetDP,
@@ -350,21 +350,21 @@ class TestPlacedSetDP:
         assert listed[-1] == tuple(range(n))
 
     def test_the_empty_set_stores_no_completions(self):
-        # The search starts from the empty set's kept moves and never emits
+        # The search starts from the empty set's kept moves and never yields
         # it as a block, so the backward pass builds no completions on it,
         # though it has two kept moves and 2 completions of length 3.
         p = parse_process("activities a b c\nresp c a\nprec b a")
         pieces = [(x,) for x in range(p.n)]
-        gen = _listing(p, pieces, pieces, (), (), _flatten, _extend)
-        for block in gen:
-            listed = list(block)
-            if len(listed[0]) == 3:
+        gen = _listing(p, pieces, pieces, (), (), _flatten)
+        assert next(gen) == ((), [()])
+        for prefix, ends in gen:
+            if len(prefix + ends[0]) == 3:
                 break
-        assert listed == [(1, 2, 0)]
+        assert (prefix, ends) == ((1,), [(2, 0)])
         root = gen.gi_frame.f_locals["root"]
         assert root[4] == 2 and [x for x, _ in root[3]] == [1, 2]
         assert root[5] is None
-        assert list(chain.from_iterable(gen)) == [(2, 1, 0)]
+        assert list(gen) == [((2,), [(1, 0)])]
 
 
 @pytest.mark.parametrize("seed", range(30))
