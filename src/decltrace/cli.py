@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 parse or validation error, output that cannot be
 written or memory run out, 2 pipeline/oracle mismatch, 3 ground set too
-large for the oracle, 130 interrupted.
+large for the oracle, 130 interrupted.  A closed stderr loses what would be
+reported on it but leaves the code as it is.
 """
 
 from __future__ import annotations
@@ -153,11 +154,20 @@ def _possim_lines(process: DeclarativeProcess) -> Iterator[str]:
     )
 
 
+def _report(text: str) -> None:
+    """Write ``text`` to stderr; a closed stderr, or the None that Python sets
+    when started without one, loses it and leaves the exit code as it is."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):
+        pass
+
+
 def _run_check(process: DeclarativeProcess) -> int:
     try:
         reference = brute_force_traces(process)
     except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}\n")
         return EXIT_TOO_LARGE
     computed = traces(process)
     if computed == reference:
@@ -167,16 +177,15 @@ def _run_check(process: DeclarativeProcess) -> int:
     reference_set = set(reference)
     missing = [t for t in reference if t not in computed_set]
     extra = [t for t in computed if t not in reference_set]
-    print(
+    _report(
         f"mismatch: {len(computed)} computed vs {len(reference)} reference "
-        f"({len(missing)} missing, {len(extra)} extra)",
-        file=sys.stderr,
+        f"({len(missing)} missing, {len(extra)} extra)\n"
     )
     names = process.names()
     for side, found in (("missing", missing), ("extra", extra)):
         shown = found[:MISMATCH_SHOWN]
         for trace, line in zip(shown, _text(names, shown)):
-            print(f"{side}: {line} ({_verdict(process, trace)})", file=sys.stderr)
+            _report(f"{side}: {line} ({_verdict(process, trace)})\n")
     return EXIT_MISMATCH
 
 
@@ -208,22 +217,19 @@ def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    running = False  # only the run writes to stdout
     try:
         process = _load(args.file)
-    except (OSError, ParseError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if sys.stdout is None:  # started with file descriptor 1 closed
-        print("error: standard output is closed", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError("standard output is closed")
+        running = True
         code = _run(args, process)
         sys.stdout.flush()  # a closed reader or a full disk shows up here, not at exit
         return code
     except BrokenPipeError:
         # The reader stopped early, as ``decltrace traces file | head`` does.
         error, code = "", EXIT_OK
-    except OSError as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         error, code = f"error: {exc}\n", EXIT_INVALID
     except MemoryError:
         error, code = "error: out of memory\n", EXIT_INVALID
@@ -231,11 +237,12 @@ def main(argv: list[str] | None = None) -> int:
         error, code = "error: interrupted\n", EXIT_INTERRUPTED
     # Reported past the except block: its traceback held the frames of the
     # search, and so the layers, which are freed by now.
-    sys.stderr.write(error)
-    # Point stdout at /dev/null: Python flushes it again at exit.
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+    _report(error)
+    if running:
+        # Point stdout at /dev/null: Python flushes it again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -24,6 +24,7 @@ from .relations import (
     BinaryRelation,
     _bits,
     _graphs,
+    _mask,
     _within,
     closure,
     implied_occurrence,
@@ -105,60 +106,48 @@ def max_elements(subset: Iterable[int], preorder: BinaryRelation) -> frozenset[i
 
 def downward_closure(subset: Iterable[int], preorder: BinaryRelation) -> frozenset[int]:
     """Everything lying below some element of ``subset``; always a down-set."""
-    targets = _within(subset, preorder.n)
-    return frozenset(
-        x for x in preorder.member_indices() if any(preorder.has(x, y) for y in targets)
-    )
+    targets = _mask(_within(subset, preorder.n))
+    return frozenset(x for x in preorder.member_indices() if preorder.rows[x] & targets)
 
 
 def condense(pre: BinaryRelation) -> QuotientPoset:
     """Collapse mutually reachable elements; the result order is a partial order.
 
     In a preorder i and j are mutually reachable exactly when their rows are
-    equal, so the classes are the groups of equal rows.
+    equal, so the classes are the groups of equal rows, numbered in the
+    order their smallest members come.  A class's order row is the classes
+    of the smallest members in its row.
     """
     if not is_preorder(pre):
         raise ValueError("relation is not a preorder")
-    class_of = [-1] * pre.n
-    class_by_row: dict[int, int] = {}
-    groups: list[list[int]] = []
-    reps = 0  # smallest member of each class, as a mask
+    groups: dict[int, list[int]] = {}  # a class's row -> its members, ascending
     for i in pre.member_indices():
-        c = class_by_row.setdefault(pre.rows[i], len(groups))
-        if c == len(groups):
-            groups.append([])
-            reps |= 1 << i
-        groups[c].append(i)
-        class_of[i] = c
-    rows = []
-    for group in groups:
-        row = 0
-        for j in _bits(pre.rows[group[0]] & reps):
-            row |= 1 << class_of[j]
-        rows.append(row)
+        groups.setdefault(pre.rows[i], []).append(i)
+    class_of = [-1] * pre.n
+    for c, group in enumerate(groups.values()):
+        for i in group:
+            class_of[i] = c
+    reps = _mask(group[0] for group in groups.values())  # smallest member of each class
+    rows = [_mask(class_of[j] for j in _bits(row & reps)) for row in groups]
     k = len(groups)
-    order = BinaryRelation(k, tuple(rows), (1 << k) - 1)
-    return QuotientPoset(groups, order, class_of)
+    return QuotientPoset(groups.values(), BinaryRelation(k, rows, (1 << k) - 1), class_of)
 
 
 def expand_downset(quotient: QuotientPoset, class_downset: Iterable[int]) -> frozenset[int]:
     """Union the member activities of a down-set of classes.
 
-    This map is a bijection between down-sets of the quotient and down-sets
-    of the original preorder.
+    Rejects an index that names no class first, then a set with an unchosen
+    class below a chosen one.  This map is a bijection between down-sets of
+    the quotient and down-sets of the original preorder.
     """
     chosen = set(class_downset)
-    k = len(quotient.classes)
     for c in chosen:
-        if not 0 <= c < k:
+        if not 0 <= c < len(quotient.classes):
             raise ValueError(f"no class with index {c}")
-        for d in range(k):
-            if quotient.order.has(d, c) and d not in chosen:
-                raise ValueError("not a down-set of the quotient")
-    out: set[int] = set()
-    for c in chosen:
-        out |= quotient.classes[c]
-    return frozenset(out)
+    mask = _mask(chosen)
+    if any(row & mask for d, row in enumerate(quotient.order.rows) if d not in chosen):
+        raise ValueError("not a down-set of the quotient")
+    return frozenset().union(*[quotient.classes[c] for c in chosen])
 
 
 def is_independent(

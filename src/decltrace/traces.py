@@ -215,12 +215,12 @@ def maximum_image(process: DeclarativeProcess) -> frozenset[int]:
     if classify(process) not in (ProcessClass.PRECEDENCE_ONLY, ProcessClass.RESPONSE_ONLY):
         raise ValueError("maximum_image needs a precedence-only or response-only process")
     occurrence = implied_occurrence(process)
-    # A class of several activities is a cycle, and row x holds what forces x.
+    # A class of several activities is a cycle, and row x holds what forces x,
+    # which is the same row for every member of x's class.
     above = 0
     for group in condense(occurrence).classes:
         if len(group) > 1:
-            for x in group:
-                above |= occurrence.rows[x]
+            above |= occurrence.rows[min(group)]
     return frozenset(_bits(occurrence.members & ~above))
 
 

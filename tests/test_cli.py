@@ -319,7 +319,10 @@ class TestFailureModes:
         "raised, code, line",
         [(MemoryError, 1, "error: out of memory\n"), (KeyboardInterrupt, 130, "error: interrupted\n")],
     )
-    @pytest.mark.parametrize("command, name", [("count", "count_traces"), ("traces", "_listing")])
+    @pytest.mark.parametrize(
+        "command, name",
+        [("count", "count_traces"), ("traces", "_listing"), ("count", "parse_process")],
+    )
     def test_memory_and_interrupt_exit_with_one_line(
         self, proc_file, tmp_path, capsys, monkeypatch, raised, code, line, command, name
     ):
@@ -336,6 +339,39 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err == line
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("closed", ["none", "bad-descriptor"])
+    @pytest.mark.parametrize(
+        "command, text, code",
+        [
+            ("traces", MIXED_THREE, cli.EXIT_INTERRUPTED),
+            ("check", "activities a b c d e f g h i\n", cli.EXIT_TOO_LARGE),
+            ("check", MIXED_THREE, cli.EXIT_MISMATCH),
+        ],
+        ids=["interrupted", "too-large", "mismatch"],
+    )
+    def test_closed_stderr_keeps_the_exit_code(
+        self, proc_file, tmp_path, monkeypatch, closed, command, text, code
+    ):
+        class ClosedStderr(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        path = proc_file(text)
+        monkeypatch.setattr(cli, "_listing", interrupt)
+        monkeypatch.setattr(cli, "traces", lambda process: [])
+        # Python sets sys.stderr to None when it starts with descriptor 2 closed.
+        stderr = None if closed == "none" else ClosedStderr()
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert main([command, path]) == code
+            monkeypatch.undo()
+        # The report is lost, not written to stdout in its place.
+        assert (tmp_path / "stdout").read_text() == ""
 
     def test_out_of_memory_is_reported_once_the_search_is_freed(
         self, proc_file, tmp_path, monkeypatch
@@ -482,6 +518,28 @@ def test_interrupt_exits_130_quietly(tmp_path):
         child.stdout.close()
         child.stderr.close()
     assert stderr == b"error: interrupted\n"
+
+
+def test_closed_stderr_leaves_the_exit_code_alone(tmp_path):
+    # Eight unconstrained activities print 109,601 traces, far more than a
+    # pipe holds; twelve are still listing when the first line is read.
+    path = tmp_path / "p.proc"
+    for size, stop, code in ((8, "close", 0), (12, "interrupt", 130)):
+        path.write_text("activities " + " ".join(f"a{i}" for i in range(size)) + "\n")
+        command = [sys.executable, "-m", "decltrace", "traces", str(path)]
+        # Started with file descriptor 2 closed, as ``2>&-`` starts it.
+        child = subprocess.Popen(["sh", "-c", 'exec "$0" "$@" 2>&-', *command], stdout=subprocess.PIPE)
+        try:
+            assert child.stdout.readline() == b"-\n"
+            if stop == "close":
+                child.stdout.close()
+            else:
+                child.send_signal(signal.SIGINT)
+                child.stdout.read()
+            assert child.wait(timeout=60) == code
+        finally:
+            child.kill()
+            child.stdout.close()
 
 
 def test_early_close_of_stdout_exits_zero_quietly(tmp_path):

@@ -6,12 +6,20 @@ from decltrace import (
     BinaryRelation,
     closure,
     condense,
+    downward_closure,
     expand_downset,
     implied_occurrence,
     is_antisymmetric,
     is_partial_order,
+    restrict,
 )
-from support import example_mixed_five, example_prec_six, preorder_downsets, random_process
+from support import (
+    example_mixed_five,
+    example_prec_six,
+    preorder_downsets,
+    random_process,
+    random_relation,
+)
 
 
 def mutual_reachability_classes(pre):
@@ -21,6 +29,49 @@ def mutual_reachability_classes(pre):
     for i in members:
         out.add(frozenset(j for j in members if pre.has(i, j) and pre.has(j, i)))
     return out
+
+
+def pairwise_class_order(pre, classes):
+    """Pairwise reference for the quotient order: c <= d when a member of c reaches one of d."""
+    return {
+        (c, d)
+        for c, low in enumerate(classes)
+        for d, high in enumerate(classes)
+        if any(pre.has(x, y) for x in low for y in high)
+    }
+
+
+class TestAgainstPairwiseDefinitions:
+    """``condense``, ``expand_downset`` and ``downward_closure`` read whole rows;
+    these references test one pair at a time."""
+
+    def test_random_preorders_on_partial_members(self):
+        rng = random.Random(27)
+        for _ in range(150):
+            rel = random_relation(rng, max_n=8, density=rng.choice([0.1, 0.2, 0.4]))
+            members = [i for i in range(rel.n) if rng.random() < 0.75]
+            pre = closure(restrict(rel, members))
+            q = condense(pre)
+            classes = sorted(mutual_reachability_classes(pre), key=min)
+            assert q.classes == tuple(classes)
+            assert set(q.order.pairs()) == pairwise_class_order(pre, classes)
+            for i in range(pre.n):
+                found = [c for c, group in enumerate(classes) if i in group]
+                assert q.class_of[i] == (found[0] if found else -1)
+            subset = [x for x in members if rng.random() < 0.3]
+            assert downward_closure(subset, pre) == frozenset(
+                x for x in members if any(pre.has(x, y) for y in subset)
+            )
+            downsets = preorder_downsets(q.order)
+            for pick in range(1 << len(classes)):
+                chosen = [c for c in range(len(classes)) if pick >> c & 1]
+                if frozenset(chosen) in downsets:
+                    union = frozenset(x for c in chosen for x in classes[c])
+                    assert expand_downset(q, chosen) == union
+                else:
+                    with pytest.raises(ValueError, match="not a down-set"):
+                        expand_downset(q, chosen)
+            assert {expand_downset(q, image) for image in downsets} == preorder_downsets(pre)
 
 
 class TestCondense:
@@ -98,6 +149,9 @@ class TestExpandDownset:
             expand_downset(q, [1])  # the class of b needs the class of a below it
         with pytest.raises(ValueError, match="class"):
             expand_downset(q, [99])
+        # An index that names no class is reported before the down-set test.
+        with pytest.raises(ValueError, match="no class with index 99"):
+            expand_downset(q, [1, 99])
 
     def test_bijection_with_preorder_downsets(self):
         rng = random.Random(59)
