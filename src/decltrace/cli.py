@@ -34,6 +34,14 @@ MISMATCH_SHOWN = 5  # traces listed per side of a failed ``check``
 WRITE_BATCH = 4096  # lines per write of a listing
 # The (separator, head, tail) that ``_write`` frames a ``traces`` listing in, per --format.
 FRAMES = {"text": ("\n", "", "\n"), "json": (", ", "[", "]\n")}
+# Each subcommand with its help line; every one reads one process file.
+COMMANDS = {
+    "traces": "print every trace in (length, index) order",
+    "count": "print the number of traces without enumerating",
+    "possim": "print each realizable trace image with its internal order",
+    "classify": "print the constraint-set class",
+    "check": "compare the pipeline against the brute-force reference",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,36 +56,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumerate, count, and inspect the traces of a declarative process.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    cmd = commands.add_parser("traces", help="print every trace in (length, index) order")
-    cmd.add_argument("file", help="process description file")
-    cmd.add_argument("--format", choices=tuple(FRAMES), default="text")
-    cmd.add_argument(
-        "--parallel",
-        action="store_true",
-        help="accepted for compatibility; has no effect",
+    cmd = {}
+    for name, text in COMMANDS.items():
+        cmd[name] = commands.add_parser(name, help=text)
+        cmd[name].add_argument("file", help="process description file")
+    cmd["traces"].add_argument("--format", choices=tuple(FRAMES), default="text")
+    cmd["traces"].add_argument(
+        "--parallel", action="store_true", help="accepted for compatibility; has no effect"
     )
-
-    cmd = commands.add_parser("count", help="print the number of traces without enumerating")
-    cmd.add_argument("file")
-    cmd.add_argument(
+    cmd["count"].add_argument(
         "--by-length",
         action="store_true",
         help="print one '<length> <count>' line per trace length instead",
     )
-
-    cmd = commands.add_parser(
-        "possim", help="print each realizable trace image with its internal order"
-    )
-    cmd.add_argument("file")
-
-    cmd = commands.add_parser("classify", help="print the constraint-set class")
-    cmd.add_argument("file")
-
-    cmd = commands.add_parser(
-        "check", help="compare the pipeline against the brute-force reference"
-    )
-    cmd.add_argument("file")
     return parser
 
 
@@ -216,9 +207,10 @@ def _run(args: argparse.Namespace, process: DeclarativeProcess) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     running = False  # only the run writes to stdout
     try:
+        # Usage errors and -h leave through argparse's SystemExit, caught by none below.
+        args = build_parser().parse_args(argv)
         process = _load(args.file)
         if sys.stdout is None:  # started with file descriptor 1 closed
             raise OSError("standard output is closed")

@@ -230,10 +230,10 @@ def _walk(graphs: tuple[list[int], ...]) -> Iterator[tuple[int, int, list[int]]]
     above = closure(transpose(forcing)).rows  # above[a]: what forces a, a included
     # The class of a is above[a] & down[a]; reps holds each class's smallest member.
     reps = sum(1 << a for a in range(n) if not above[a] & down[a] & ((1 << a) - 1))
-    related = {a: (above[a] | down[a]) & reps for a in _bits(reps)}
     yield 0, 0, []
     # Each entry is an antichain of classes, as reps: the first rep that may
-    # extend it, the reps it rules out, and its image and generator as masks.
+    # extend it, what it rules out (all above or below a class in it; the
+    # loop reads only the reps), and its image and generator as masks.
     stack = [(0, 0, 0, 0)]
     while stack:
         start, blocked, members, generator = stack.pop()
@@ -246,7 +246,7 @@ def _walk(graphs: tuple[list[int], ...]) -> Iterator[tuple[int, int, list[int]]]
                 continue
             grown_generator = generator | above[c] & down[c]
             yield grown, grown_generator, topological
-            stack.append((c + 1, blocked | related[c], grown, grown_generator))
+            stack.append((c + 1, blocked | above[c] | down[c], grown, grown_generator))
 
 
 def _images(process: DeclarativeProcess) -> Iterator[tuple]:

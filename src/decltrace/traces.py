@@ -246,22 +246,33 @@ def traces_successor_only(process: DeclarativeProcess) -> list[Trace]:
     return _only(process, ConstraintKind.SUCCESSOR, "successor-only")
 
 
+def _grow(reached: int, frontier: int, rows: Sequence[int], stop: int) -> int:
+    """``reached`` with all that ``rows`` reach from ``frontier``, level by level.
+
+    ``frontier`` lies inside ``reached``.  Each level is what the rows of
+    the last one reach outside ``reached``, and the first level that meets
+    ``stop`` is the last one taken; with ``stop`` 0 the result is the whole
+    reach.
+    """
+    while frontier and not frontier & stop:
+        grown = 0
+        for v in _bits(frontier):
+            grown |= rows[v]
+        frontier = grown & ~reached
+        reached |= frontier
+    return reached
+
+
 def _components(graphs: tuple[list[int], ...]) -> list[int]:
     """Activity masks of the connected components of the constraint graph,
-    read from the ordering rows and columns of ``_graphs``."""
-    succ, pred = graphs[3], graphs[4]
+    read from the ordering rows and columns of ``_graphs``, in the order of
+    their lowest activities."""
+    linked = [succ | pred for succ, pred in zip(graphs[3], graphs[4])]
     out = []
-    left = (1 << len(succ)) - 1
+    left = (1 << len(linked)) - 1
     while left:
-        reached = frontier = left & -left
-        while frontier:
-            grown = 0
-            for v in _bits(frontier):
-                grown |= succ[v] | pred[v]
-            frontier = grown & ~reached
-            reached |= frontier
-        out.append(reached)
-        left &= ~reached
+        out.append(_grow(low := left & -left, low, linked, 0))
+        left &= ~out[-1]
     return out
 
 
@@ -328,17 +339,10 @@ def _layers(component: int, graphs: tuple[list[int], ...]) -> Iterator[dict[int,
                     continue
                 x = bit.bit_length() - 1
                 now_barred = barred | pred[x]
-                # Grow D by what x forces that T did not, level by level.
-                # Past x, which is not barred, a level that meets the barred
-                # activities lies in D - (T + x), so T + x is dead.
-                fresh = bit & ~forced
-                now_forced = forced | fresh
-                while fresh and not fresh & now_barred:
-                    reached = 0
-                    for y in _bits(fresh):
-                        reached |= forces[y]
-                    fresh = reached & ~now_forced
-                    now_forced |= fresh
+                # D grows by what x forces that T did not.  Past x, which is
+                # not barred, a level that meets the barred activities lies in
+                # D - (T + x), so T + x is dead and the search stops there.
+                now_forced = _grow(forced | bit, bit & ~forced, forces, now_barred)
                 waiting = now_forced & ~now
                 live = not now_barred & waiting
                 if live and waiting and now_forced != forced:

@@ -286,10 +286,19 @@ class TestFailureModes:
                 assert main([command, str(path)]) == 0
                 assert capsys.readouterr() == (out, "")
 
-    def test_usage_error_exits_one(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["not-a-command"], ["traces"], ["count"], ["possim"], ["classify"], ["check"]],
+        ids=" ".join,
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        # A subcommand given without its file is a usage error too.
         with pytest.raises(SystemExit) as info:
-            main(["not-a-command"])
+            main(argv)
         assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: decltrace") and "error: " in err
 
     @pytest.mark.parametrize("command", ["traces", "count", "possim", "classify", "check"])
     def test_closed_stdout_exits_one(self, proc_file, capsys, monkeypatch, command):
@@ -321,7 +330,12 @@ class TestFailureModes:
     )
     @pytest.mark.parametrize(
         "command, name",
-        [("count", "count_traces"), ("traces", "_listing"), ("count", "parse_process")],
+        [
+            ("count", "count_traces"),
+            ("traces", "_listing"),
+            ("count", "parse_process"),
+            ("count", "build_parser"),
+        ],
     )
     def test_memory_and_interrupt_exit_with_one_line(
         self, proc_file, tmp_path, capsys, monkeypatch, raised, code, line, command, name

@@ -11,8 +11,9 @@ the memory they hold; the trace listing, as tuples and as the CLI's text
 and JSON bytes, against the heap merge of per-image extensions.  The
 finished sets of the placed-set pass are checked against the possim walk's
 images, and all its kept sets against the prefix sets of the oracle's
-traces.  The ``possim`` command's bytes are
-checked against lines built from ``enumerate_possim`` and ``hasse_pairs``.
+traces; its frontier search, ``_grow``, against ``closure``.  The
+``possim`` command's bytes are checked against lines built from
+``enumerate_possim`` and ``hasse_pairs``.
 On single-kind processes ``maximum_image`` is checked against the union of
 the walk's images.
 """
@@ -59,7 +60,7 @@ from decltrace.cli import WRITE_BATCH, _text, _trace_lines, main
 from decltrace.linext import _count, _extensions
 from decltrace.possim import _topological_order, _walk
 from decltrace.relations import _bits, _mask
-from decltrace.traces import _flatten, _graphs, _layers, _listing
+from decltrace.traces import _flatten, _graphs, _grow, _layers, _listing
 from support import (
     KINDS,
     LETTERS,
@@ -448,6 +449,56 @@ def test_condense_classes_are_mutual_reachability(rel):
     for a, group_a in enumerate(quotient.classes):
         for b, group_b in enumerate(quotient.classes):
             assert quotient.order.has(a, b) == pre.has(min(group_a), min(group_b))
+
+
+@st.composite
+def grow_cases(draw):
+    """A relation on partial members, cycles allowed, with a union of closed
+    rows, a member to grow it by and a mask to stop at."""
+    n = draw(st.integers(1, MAX_N + 2))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n))
+    members = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    rel = restrict(BinaryRelation.from_pairs(n, pairs), members)
+    sources = draw(st.sets(st.sampled_from(sorted(members))))
+    member = draw(st.sampled_from(sorted(members)))
+    stop = draw(st.integers(0, (1 << n) - 1))
+    return rel, sources, member, stop
+
+
+# A cycle 0 -> 1 -> 2 -> 0 with 0 -> 3 -> 4 beside it: from 2, the level
+# {1, 3} needs both its rows.  The search starts past a closed row, {5},
+# which stop may meet: only the new part of a level is tested.
+CYCLE_WITH_TAIL = BinaryRelation.from_pairs(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
+
+
+@example((CYCLE_WITH_TAIL, {5}, 2, 0))
+@example((CYCLE_WITH_TAIL, {5}, 2, 0b101000))
+@given(grow_cases())
+def test_grow_reaches_the_closed_row(case):
+    rel, sources, v, stop = case
+    closed = closure(rel).rows
+    reached = 0  # a union of closed rows
+    for s in sources:
+        reached |= closed[s]
+    full = reached | closed[v]
+    assert _grow(reached | 1 << v, (1 << v) & ~reached, rel.rows, 0) == full
+    grown = _grow(reached | 1 << v, (1 << v) & ~reached, rel.rows, stop)
+    assert grown & ~full == 0
+    if full & ~reached & stop:
+        assert grown & ~reached & stop
+    else:
+        assert grown == full
+    # Exactly: the smallest ball around v, all within some k steps of it,
+    # whose part outside ``reached`` meets stop, or else all v reaches.
+    ball = 1 << v
+    while not ball & ~reached & stop:
+        wider = ball
+        for u in _bits(ball):
+            wider |= rel.rows[u]
+        if wider == ball:
+            break
+        ball = wider
+    assert grown == reached | ball
 
 
 @pytest.mark.parametrize("kind", ["prec", "resp"])
